@@ -1,6 +1,6 @@
 // §5 ablation — "How to update HPC-GPT with Latest Data": the LangChain
 // route. New MLPerf results (absent from every training corpus) are
-// chunked into the vector store; questions about them are answered by
+// chunked into the search engine; questions about them are answered by
 // retrieval, while the frozen fine-tuned model alone cannot know them.
 
 #include <cstdio>
@@ -8,7 +8,7 @@
 #include "bench_common.hpp"
 #include "hpcgpt/core/hpcgpt.hpp"
 #include "hpcgpt/kb/kb.hpp"
-#include "hpcgpt/retrieval/vector_store.hpp"
+#include "hpcgpt/retrieval/engine.hpp"
 #include "hpcgpt/support/strings.hpp"
 #include "hpcgpt/text/chunker.hpp"
 
@@ -34,7 +34,7 @@ int main() {
   core::HpcGpt model(spec, tokenizer);
   model.pretrain(kb::unstructured_corpus(), {});
 
-  // Vector store seeded with the old knowledge, then updated in place.
+  // Search engine seeded with the old knowledge, then updated in place.
   retrieval::TfidfEmbedder embedder;
   std::vector<std::string> corpus;
   for (const kb::MlperfEntry& e : kb::KnowledgeBase::builtin().mlperf) {
@@ -42,15 +42,15 @@ int main() {
   }
   for (const kb::MlperfEntry& e : fresh) corpus.push_back(kb::flatten(e, 1));
   embedder.fit(corpus);
-  retrieval::VectorStore store(embedder);
+  retrieval::SearchEngine engine(embedder);
   for (const kb::MlperfEntry& e : kb::KnowledgeBase::builtin().mlperf) {
-    store.add(kb::flatten(e, 1));
+    engine.add(kb::flatten(e, 1));
   }
-  const std::size_t before_update = store.size();
-  for (const kb::MlperfEntry& e : fresh) store.add(kb::flatten(e, 1));
+  const std::size_t before_update = engine.size();
+  for (const kb::MlperfEntry& e : fresh) engine.add(kb::flatten(e, 1));
 
-  std::printf("vector store: %zu chunks before update, %zu after\n\n",
-              before_update, store.size());
+  std::printf("search engine: %zu chunks before update, %zu after\n\n",
+              before_update, engine.size());
 
   bench::section("questions about data newer than the model");
   std::size_t model_hits = 0;
@@ -61,7 +61,7 @@ int main() {
                                  " and the Software used is " + e.software +
                                  "?";
     const std::string from_model = model.ask(question);
-    const auto hits = store.top_k(question, 1);
+    const auto hits = engine.top_k(question, 1);
     const std::string from_rag = hits.empty() ? "" : hits[0].text;
     const bool model_ok = strings::icontains(from_model, e.system);
     const bool rag_ok = strings::icontains(from_rag, e.system);
@@ -78,7 +78,7 @@ int main() {
   bench::section("reading");
   std::printf(
       "The frozen model cannot answer about hardware released after its\n"
-      "training cut-off; adding three flattened rows to the vector store\n"
+      "training cut-off; adding three flattened rows to the search engine\n"
       "makes every question answerable without touching a single weight —\n"
       "the LangChain-style update path the paper proposes.\n");
   return 0;

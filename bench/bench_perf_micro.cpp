@@ -119,24 +119,6 @@ void BM_ModelForward(benchmark::State& state) {
 }
 BENCHMARK(BM_ModelForward)->Arg(64)->Arg(128)->Arg(256);
 
-void BM_GenerateUncached(benchmark::State& state) {
-  const text::BpeTokenizer tok = core::build_shared_tokenizer();
-  core::ModelOptions spec = core::spec_for(core::BaseModel::Llama);
-  spec.pretrain_steps = 0;
-  core::HpcGpt model(spec, tok);
-  std::vector<text::TokenId> prompt(64, 65);
-  nn::SampleOptions opts;
-  opts.max_new_tokens = static_cast<std::size_t>(state.range(0));
-  opts.stop_token = -1;  // never stop early: fixed work per iteration
-  for (auto _ : state) {
-    const auto out = nn::generate(model.model(), prompt, opts);
-    benchmark::DoNotOptimize(out.size());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_GenerateUncached)->Arg(16)->Arg(48);
-
 void BM_GenerateCached(benchmark::State& state) {
   const text::BpeTokenizer tok = core::build_shared_tokenizer();
   core::ModelOptions spec = core::spec_for(core::BaseModel::Llama);

@@ -1,6 +1,6 @@
 #pragma once
 
-#include <string>
+#include <span>
 #include <vector>
 
 #include "hpcgpt/nn/transformer.hpp"
@@ -19,28 +19,20 @@ struct SampleOptions {
   std::uint64_t seed = 7;
 };
 
-/// Generates a continuation of `prompt_ids`. Generation re-runs the full
-/// forward per token (no KV cache) — adequate for the short sequences in
-/// this repository and keeps the inference path identical to training.
-std::vector<text::TokenId> generate(Transformer& model,
-                                    std::vector<text::TokenId> prompt_ids,
-                                    const SampleOptions& options = {});
+/// Picks the next token from one position's logits: greedy argmax at
+/// temperature 0, otherwise temperature-softmax sampling drawn from `rng`.
+text::TokenId sample_token(std::span<const float> logits, float temperature,
+                           Rng& rng);
 
-/// KV-cached generation: identical results to generate() (token-for-token
-/// under greedy decoding and for any fixed sampling seed). The prompt is
+/// KV-cached generation of a continuation of `prompt_ids`. The prompt is
 /// ingested in one batched GEMM prefill pass, then each emitted token
 /// costs one allocation-free O(T·d) decode step instead of a full
-/// O(T²·d) forward. See BM_Generate*/BM_DecodeThroughput in
-/// bench_perf_micro for the measured speedup.
+/// O(T²·d) forward. Token-for-token identical to re-running the full
+/// forward per token (greedy, and for any fixed sampling seed) — the
+/// tests check it against exactly that oracle.
 std::vector<text::TokenId> generate_cached(
     const Transformer& model, const std::vector<text::TokenId>& prompt_ids,
     const SampleOptions& options = {});
-
-/// Convenience: encode `prompt`, generate, decode only the new tokens.
-std::string generate_text(Transformer& model,
-                          const text::BpeTokenizer& tokenizer,
-                          const std::string& prompt,
-                          const SampleOptions& options = {});
 
 /// Log-probability the model assigns to `continuation` after `prompt`
 /// (sum over continuation tokens). Used for answer scoring / classification.

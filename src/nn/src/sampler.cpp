@@ -8,10 +8,8 @@
 
 namespace hpcgpt::nn {
 
-namespace {
-
-text::TokenId pick_token(std::span<const float> logits, float temperature,
-                         Rng& rng) {
+text::TokenId sample_token(std::span<const float> logits, float temperature,
+                           Rng& rng) {
   if (temperature <= 0.0f) {
     return static_cast<text::TokenId>(std::distance(
         logits.begin(), std::max_element(logits.begin(), logits.end())));
@@ -32,26 +30,6 @@ text::TokenId pick_token(std::span<const float> logits, float temperature,
   return static_cast<text::TokenId>(probs.size() - 1);
 }
 
-}  // namespace
-
-std::vector<text::TokenId> generate(Transformer& model,
-                                    std::vector<text::TokenId> prompt_ids,
-                                    const SampleOptions& options) {
-  require(!prompt_ids.empty(), "generate: empty prompt");
-  Rng rng(options.seed);
-  const std::size_t prompt_len = prompt_ids.size();
-  for (std::size_t step = 0; step < options.max_new_tokens; ++step) {
-    if (prompt_ids.size() >= model.config().max_seq) break;
-    const tensor::Matrix all_logits = model.logits(prompt_ids);
-    const auto last = all_logits.row(all_logits.rows() - 1);
-    const text::TokenId next = pick_token(last, options.temperature, rng);
-    if (next == options.stop_token) break;
-    prompt_ids.push_back(next);
-  }
-  return {prompt_ids.begin() + static_cast<std::ptrdiff_t>(prompt_len),
-          prompt_ids.end()};
-}
-
 std::vector<text::TokenId> generate_cached(
     const Transformer& model, const std::vector<text::TokenId>& prompt_ids,
     const SampleOptions& options) {
@@ -64,7 +42,7 @@ std::vector<text::TokenId> generate_cached(
   std::vector<text::TokenId> out;
   for (std::size_t step = 0; step < options.max_new_tokens; ++step) {
     if (state.length() >= model.config().max_seq) break;
-    const text::TokenId next = pick_token(last, options.temperature, rng);
+    const text::TokenId next = sample_token(last, options.temperature, rng);
     if (next == options.stop_token) break;
     out.push_back(next);
     if (out.size() == options.max_new_tokens ||
@@ -74,26 +52,6 @@ std::vector<text::TokenId> generate_cached(
     last = model.decode_step(state, next);
   }
   return out;
-}
-
-std::string generate_text(Transformer& model,
-                          const text::BpeTokenizer& tokenizer,
-                          const std::string& prompt,
-                          const SampleOptions& options) {
-  std::vector<text::TokenId> ids = tokenizer.encode(prompt);
-  ids.insert(ids.begin(), text::BpeTokenizer::kBos);
-  ids.push_back(text::BpeTokenizer::kSep);
-  // Clamp over-long prompts from the left so the separator survives —
-  // mirrors the truncation general chat stacks apply.
-  const std::size_t cap = model.config().max_seq > options.max_new_tokens
-                              ? model.config().max_seq - options.max_new_tokens
-                              : 1;
-  if (ids.size() > cap) {
-    ids.erase(ids.begin(),
-              ids.begin() + static_cast<std::ptrdiff_t>(ids.size() - cap));
-  }
-  const auto out_ids = generate(model, ids, options);
-  return tokenizer.decode(out_ids);
 }
 
 double continuation_logprob(Transformer& model,

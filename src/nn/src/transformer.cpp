@@ -738,26 +738,6 @@ void DecodeState::set_reserved_pages(std::size_t n) {
   reserved_ = n;
 }
 
-void DecodeState::truncate(std::size_t len) {
-  require(len <= length_, "DecodeState::truncate: cannot extend");
-  constexpr std::size_t kPage = KvPagePool::kPageSize;
-  const std::size_t keep = (len + kPage - 1) / kPage;
-  for (std::size_t l = 0; l < n_layers_; ++l) {
-    while (tables_[l].size() > keep) {
-      const std::uint32_t page = tables_[l].back();
-      // A private page freed by the rollback returns its budget to this
-      // session's reservation credit, so speculative verify/rollback
-      // cycles re-use the same credit instead of exhausting it.
-      const bool refundable = pool_->ref_count(page) == 1;
-      pool_->release(page);
-      if (refundable && pool_->try_reserve(1)) ++reserved_;
-      tables_[l].pop_back();
-      page_ptrs_[l].pop_back();
-    }
-  }
-  length_ = len;
-}
-
 void DecodeState::adopt_prefix(
     const std::vector<std::vector<std::uint32_t>>& pages,
     std::size_t tokens) {
@@ -1046,14 +1026,8 @@ const Matrix& Transformer::decode_step_batch(
   return scratch.logits;
 }
 
-/// Shared prefill body: embeds `ids` at the session's current length,
-/// runs the block stack (populating the paged caches), and leaves the
-/// final pre-norm hidden rows in `x`. Advances state.length_ and records
-/// the prefill metrics; the callers differ only in which rows they push
-/// through the head.
-void Transformer::prefill_hidden(DecodeState& state,
-                                 std::span<const text::TokenId> ids,
-                                 Matrix& x) const {
+std::span<const float> Transformer::prefill(
+    DecodeState& state, std::span<const text::TokenId> ids) const {
   require(!ids.empty(), "prefill: empty prompt");
   HPCGPT_TRACE("nn.prefill");
   InferenceMetrics& metrics = inference_metrics();
@@ -1063,7 +1037,7 @@ void Transformer::prefill_hidden(DecodeState& state,
           "prefill: context exhausted");
 
   state.prepare_append(ids.size());
-  ensure_shape(x, ids.size(), config_.d_model);
+  Matrix x(ids.size(), config_.d_model);
   for (std::size_t t = 0; t < ids.size(); ++t) {
     const auto id = ids[t];
     require(id >= 0 && static_cast<std::size_t>(id) < config_.vocab_size,
@@ -1085,12 +1059,7 @@ void Transformer::prefill_hidden(DecodeState& state,
   metrics.prefill_tokens.add(ids.size());
   metrics.prefill_seconds.observe(prefill_timer.seconds());
   metrics.kv_occupancy.observe(static_cast<double>(state.length_));
-}
 
-std::span<const float> Transformer::prefill(
-    DecodeState& state, std::span<const text::TokenId> ids) const {
-  Matrix x;
-  prefill_hidden(state, ids, x);
   // Only the last position's logits are needed downstream (the sampler
   // feeds the next token through decode_step), so the head GEMV runs on
   // one row instead of the whole prompt.
@@ -1099,20 +1068,6 @@ std::span<const float> Transformer::prefill(
   rmsnorm_row(final_gain_, x.row(ids.size() - 1), normed);
   head_.apply(normed, scratch.logits);
   return scratch.logits;
-}
-
-void Transformer::prefill_logits(DecodeState& state,
-                                 std::span<const text::TokenId> ids,
-                                 Matrix& logits_out) const {
-  Matrix x;
-  prefill_hidden(state, ids, x);
-  // Speculative verify needs every position's distribution: norm each row
-  // and push the whole batch through the head as one GEMM.
-  Matrix normed(ids.size(), config_.d_model);
-  for (std::size_t t = 0; t < ids.size(); ++t) {
-    rmsnorm_row(final_gain_, x.row(t), normed.row(t));
-  }
-  head_.apply_rows(normed, logits_out);
 }
 
 LossResult Transformer::train_step(

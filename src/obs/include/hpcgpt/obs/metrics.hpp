@@ -32,10 +32,12 @@ class Gauge {
  public:
   void set(std::int64_t v) {
     value_.store(v, std::memory_order_relaxed);
-    std::int64_t prev = max_.load(std::memory_order_relaxed);
-    while (v > prev &&
-           !max_.compare_exchange_weak(prev, v, std::memory_order_relaxed)) {
-    }
+    raise_peak(v);
+  }
+  /// Moves the level by `delta` — for a level that several owners share,
+  /// each adding its own change (e.g. documents over all live indexes).
+  void add(std::int64_t delta) {
+    raise_peak(value_.fetch_add(delta, std::memory_order_relaxed) + delta);
   }
   std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
   std::int64_t max_value() const { return max_.load(std::memory_order_relaxed); }
@@ -52,6 +54,13 @@ class Gauge {
   }
 
  private:
+  void raise_peak(std::int64_t v) {
+    std::int64_t prev = max_.load(std::memory_order_relaxed);
+    while (v > prev &&
+           !max_.compare_exchange_weak(prev, v, std::memory_order_relaxed)) {
+    }
+  }
+
   std::atomic<std::int64_t> value_{0};
   std::atomic<std::int64_t> max_{0};
 };

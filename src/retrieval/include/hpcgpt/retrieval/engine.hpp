@@ -6,10 +6,9 @@
 #include <utility>
 #include <vector>
 
-#include "hpcgpt/retrieval/hll.hpp"
+#include "hpcgpt/retrieval/embedder.hpp"
 #include "hpcgpt/retrieval/index.hpp"
 #include "hpcgpt/retrieval/ivf.hpp"
-#include "hpcgpt/retrieval/vector_store.hpp"
 
 namespace hpcgpt::retrieval {
 
@@ -59,8 +58,7 @@ struct IndexStats {
   std::size_t sealed_segments = 0;
   std::size_t tail_documents = 0;
   std::size_t compressed_bytes = 0;
-  std::size_t distinct_terms = 0;        ///< exact
-  double distinct_terms_estimate = 0.0;  ///< HyperLogLog sketch
+  std::size_t distinct_terms = 0;
 };
 
 /// The indexed hybrid retrieval engine: a compressed inverted index with
@@ -68,7 +66,8 @@ struct IndexStats {
 /// brute-force scan kept as the reference path. add() keeps documents
 /// immediately searchable (in-memory tail segment). top_k() is const and
 /// safe to call concurrently; add() needs external serialization against
-/// queries.
+/// queries. The retrieval.index.{docs,postings,segments} gauges of the
+/// process-wide registry sum over every live engine.
 class SearchEngine {
  public:
   explicit SearchEngine(TfidfEmbedder embedder, RetrievalConfig config = {});
@@ -94,6 +93,25 @@ class SearchEngine {
   /// impacts dropped) — the single source both scan and WAND score from.
   using DocVec = std::vector<std::pair<TermId, std::uint8_t>>;
 
+  /// This engine's part of the process-wide index gauges: publish() moves
+  /// each gauge by the change since the last call, and destruction
+  /// withdraws the whole part. Move-constructible only, so no part is
+  /// counted twice.
+  class GaugeShare {
+   public:
+    GaugeShare() = default;
+    GaugeShare(GaugeShare&& other) noexcept;
+    GaugeShare& operator=(GaugeShare&&) = delete;
+    ~GaugeShare() { publish(0, 0, 0); }
+    void publish(std::int64_t docs, std::int64_t postings,
+                 std::int64_t segments);
+
+   private:
+    std::int64_t docs_ = 0;
+    std::int64_t postings_ = 0;
+    std::int64_t segments_ = 0;
+  };
+
   DocVec doc_weights(const std::string& text) const;
   std::vector<std::pair<TermId, double>> query_weights(
       const std::string& query) const;
@@ -118,7 +136,7 @@ class SearchEngine {
   double impact_scale_ = 1.0 / 255.0;
   InvertedIndex index_;
   IvfFlatIndex ivf_;
-  HyperLogLog terms_hll_;
+  GaugeShare gauges_;
   std::vector<bool> term_seen_;
   std::size_t distinct_terms_ = 0;
   std::vector<std::string> texts_;

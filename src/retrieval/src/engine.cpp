@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "hpcgpt/obs/metrics.hpp"
 #include "hpcgpt/obs/trace.hpp"
@@ -73,7 +74,6 @@ SearchEngine::SearchEngine(TfidfEmbedder embedder, RetrievalConfig config)
       config_(config),
       index_(config.index),
       ivf_(config.ivf),
-      terms_hll_(12),
       term_seen_(embedder_.vocabulary_size(), false) {
   config_.validate();
   if (config_.weighting == RetrievalConfig::Weighting::Bm25) {
@@ -139,7 +139,6 @@ void SearchEngine::add(std::string chunk) {
   if (term_seen_.size() < embedder_.vocabulary_size())
     term_seen_.resize(embedder_.vocabulary_size(), false);
   for (const auto& [term, impact] : weights) {
-    terms_hll_.add(term);
     if (!term_seen_[term]) {
       term_seen_[term] = true;
       ++distinct_terms_;
@@ -148,17 +147,10 @@ void SearchEngine::add(std::string chunk) {
   vectors_.push_back(std::move(weights));
   texts_.push_back(std::move(chunk));
 
-  auto& registry = obs::MetricsRegistry::global();
-  static obs::Gauge& docs_gauge = registry.gauge("retrieval.index.docs");
-  static obs::Gauge& postings_gauge = registry.gauge("retrieval.index.postings");
-  static obs::Gauge& segments_gauge = registry.gauge("retrieval.index.segments");
-  static obs::Gauge& distinct_gauge =
-      registry.gauge("retrieval.index.distinct_terms_estimate");
   const InvertedIndex::Stats s = index_.stats();
-  docs_gauge.set(static_cast<std::int64_t>(s.docs));
-  postings_gauge.set(static_cast<std::int64_t>(s.postings));
-  segments_gauge.set(static_cast<std::int64_t>(s.sealed_segments));
-  distinct_gauge.set(static_cast<std::int64_t>(terms_hll_.estimate()));
+  gauges_.publish(static_cast<std::int64_t>(s.docs),
+                  static_cast<std::int64_t>(s.postings),
+                  static_cast<std::int64_t>(s.sealed_segments));
 }
 
 void SearchEngine::add_all(const std::vector<std::string>& chunks) {
@@ -382,8 +374,28 @@ IndexStats SearchEngine::stats() const {
   out.tail_documents = s.tail_docs;
   out.compressed_bytes = s.compressed_bytes;
   out.distinct_terms = distinct_terms_;
-  out.distinct_terms_estimate = terms_hll_.estimate();
   return out;
+}
+
+SearchEngine::GaugeShare::GaugeShare(GaugeShare&& other) noexcept
+    : docs_(std::exchange(other.docs_, 0)),
+      postings_(std::exchange(other.postings_, 0)),
+      segments_(std::exchange(other.segments_, 0)) {}
+
+void SearchEngine::GaugeShare::publish(std::int64_t docs,
+                                       std::int64_t postings,
+                                       std::int64_t segments) {
+  if (docs == docs_ && postings == postings_ && segments == segments_) return;
+  auto& registry = obs::MetricsRegistry::global();
+  static obs::Gauge& docs_gauge = registry.gauge("retrieval.index.docs");
+  static obs::Gauge& postings_gauge = registry.gauge("retrieval.index.postings");
+  static obs::Gauge& segments_gauge = registry.gauge("retrieval.index.segments");
+  docs_gauge.add(docs - docs_);
+  postings_gauge.add(postings - postings_);
+  segments_gauge.add(segments - segments_);
+  docs_ = docs;
+  postings_ = postings;
+  segments_ = segments;
 }
 
 }  // namespace hpcgpt::retrieval

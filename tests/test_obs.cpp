@@ -202,7 +202,7 @@ TEST(Trace, RingBufferWrapsKeepingNewestEvents) {
   obs::TraceSink sink(/*capacity=*/4);
   sink.enable(true);
   for (int i = 0; i < 6; ++i) {
-    sink.record("e" + std::to_string(i), static_cast<double>(i), 0.5);
+    sink.record('e' + std::to_string(i), static_cast<double>(i), 0.5);
   }
   EXPECT_EQ(sink.total_recorded(), 6u);
   const std::vector<obs::TraceEvent> events = sink.events();
@@ -256,7 +256,7 @@ TEST(Trace, WraparoundIsCountedAsDropped) {
       obs::MetricsRegistry::global().counter("obs.trace.dropped");
   const std::uint64_t counter_before = dropped_counter.value();
   for (int i = 0; i < 5; ++i) {
-    sink.record("e" + std::to_string(i), static_cast<double>(i), 0.1);
+    sink.record('e' + std::to_string(i), static_cast<double>(i), 0.1);
   }
   EXPECT_EQ(sink.dropped_count(), 2u);
   EXPECT_EQ(sink.total_recorded(), 5u);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 
 #include "hpcgpt/drb/drb.hpp"
@@ -64,7 +65,7 @@ TEST_P(EveryCategory, RaceFreeProgramsAreScheduleInvariant) {
 TEST_P(EveryCategory, ExactHbNeverFlagsRaceFree) {
   if (category_has_race(category())) GTEST_SKIP();
   Rng rng(900 + GetParam().category * 3 + GetParam().flavor);
-  for (int rep = 0; rep < 4; ++rep) {
+  for (std::uint64_t rep = 0; rep < 4; ++rep) {
     const TestCase tc = generate_case(category(), flavor(), rng);
     for (const std::size_t threads : {2u, 5u}) {
       const race::ExecResult r = race::execute(

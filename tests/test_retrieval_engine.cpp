@@ -3,9 +3,10 @@
 // exactly — same doc order AND same scores — on randomized corpora,
 // including tied scores, incremental adds, sealing/merging segment
 // boundaries and empty/out-of-vocabulary queries. Plus unit coverage for
-// the posting iterators, HyperLogLog sketch, IVF-flat index and the
-// RetrievalConfig name maps. Labeled "retrieval" so the sanitize preset
-// exercises the varint codec and iterator paths under ASan/UBSan.
+// the posting iterators, the process-wide index gauges, the IVF-flat
+// index and the RetrievalConfig name maps. Labeled "retrieval" so the
+// sanitize preset exercises the varint codec and iterator paths under
+// ASan/UBSan.
 
 #include <gtest/gtest.h>
 
@@ -16,11 +17,11 @@
 #include <utility>
 #include <vector>
 
+#include "hpcgpt/obs/metrics.hpp"
+#include "hpcgpt/retrieval/embedder.hpp"
 #include "hpcgpt/retrieval/engine.hpp"
-#include "hpcgpt/retrieval/hll.hpp"
 #include "hpcgpt/retrieval/index.hpp"
 #include "hpcgpt/retrieval/ivf.hpp"
-#include "hpcgpt/retrieval/vector_store.hpp"
 #include "hpcgpt/support/rng.hpp"
 
 namespace {
@@ -177,10 +178,6 @@ TEST(RetrievalEquivalence, IncrementalAddsStayImmediatelySearchable) {
   EXPECT_GT(stats.postings, 0u);
   EXPECT_GT(stats.compressed_bytes, 0u);
   EXPECT_GT(stats.distinct_terms, 0u);
-  // HLL sketch tracks the exact distinct-term count closely at this size.
-  EXPECT_NEAR(stats.distinct_terms_estimate,
-              static_cast<double>(stats.distinct_terms),
-              0.2 * static_cast<double>(stats.distinct_terms) + 2.0);
 }
 
 TEST(RetrievalEquivalence, EmptyAndOovQueriesMatchScanShape) {
@@ -355,30 +352,58 @@ TEST(PostingIterators, CompressedRoundTripAcrossBlockSizes) {
   }
 }
 
-// ---- HyperLogLog ------------------------------------------------------
+// ---- process-wide index gauges -----------------------------------------
 
-TEST(HyperLogLogSketch, EstimatesWithinExpectedErrorAndMerges) {
-  retrieval::HyperLogLog a(12);
-  retrieval::HyperLogLog b(12);
-  const std::size_t n = 10000;
-  for (std::size_t i = 0; i < n; ++i) a.add(i);
-  for (std::size_t i = n / 2; i < n + n / 2; ++i) b.add(i);
-  // σ ≈ 1.04/√4096 ≈ 1.6%; 5% is > 3σ.
-  EXPECT_NEAR(a.estimate(), static_cast<double>(n), 0.05 * n);
-  EXPECT_NEAR(b.estimate(), static_cast<double>(n), 0.05 * n);
-  // Union covers 1.5n distinct values; merge is register-wise max.
-  a.merge(b);
-  EXPECT_NEAR(a.estimate(), 1.5 * n, 0.05 * 1.5 * n);
+TEST(IndexGauges, SumOverEveryLiveEngine) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  obs::Gauge& docs = registry.gauge("retrieval.index.docs");
+  obs::Gauge& postings = registry.gauge("retrieval.index.postings");
+  obs::Gauge& segments = registry.gauge("retrieval.index.segments");
+  const std::int64_t docs0 = docs.value();
+  const std::int64_t postings0 = postings.value();
+  const std::int64_t segments0 = segments.value();
+  const auto expect_gauges = [&](std::size_t want_docs,
+                                 std::size_t want_postings,
+                                 std::size_t want_segments) {
+    EXPECT_EQ(docs.value() - docs0, static_cast<std::int64_t>(want_docs));
+    EXPECT_EQ(postings.value() - postings0,
+              static_cast<std::int64_t>(want_postings));
+    EXPECT_EQ(segments.value() - segments0,
+              static_cast<std::int64_t>(want_segments));
+  };
 
-  a.reset();
-  EXPECT_EQ(a.estimate(), 0.0);
-  // Small cardinalities: linear counting keeps the estimate tight.
-  for (std::size_t i = 0; i < 10; ++i) a.add(i * 7919);
-  EXPECT_NEAR(a.estimate(), 10.0, 1.0);
-
-  retrieval::HyperLogLog narrow(8);
-  EXPECT_THROW(a.merge(narrow), std::invalid_argument);
-  EXPECT_THROW(retrieval::HyperLogLog{3}, std::invalid_argument);
+  const std::vector<std::string> pool = make_pool(16);
+  Rng rng(0x6a7e);
+  std::vector<std::string> corpus;
+  for (std::size_t d = 0; d < 40; ++d) {
+    corpus.push_back(random_doc(rng, pool, 2, 8));
+  }
+  retrieval::TfidfEmbedder embedder;
+  embedder.fit(corpus);
+  {
+    // A RAG-sized index next to a small second one (an InferenceServer's
+    // grounding index): adds to the second must not overwrite the first
+    // engine's numbers.
+    retrieval::SearchEngine rag(embedder, churny_config(Weighting::Tfidf));
+    rag.add_all(corpus);
+    const retrieval::IndexStats a = rag.stats();
+    ASSERT_GT(a.sealed_segments, 0u);
+    expect_gauges(a.documents, a.postings, a.sealed_segments);
+    {
+      retrieval::SearchEngine grounding(embedder);
+      grounding.add_all({corpus[0], corpus[1], corpus[2]});
+      const retrieval::IndexStats b = grounding.stats();
+      expect_gauges(a.documents + b.documents, a.postings + b.postings,
+                    a.sealed_segments + b.sealed_segments);
+      // A moved engine is still counted exactly once.
+      retrieval::SearchEngine moved = std::move(grounding);
+      expect_gauges(a.documents + b.documents, a.postings + b.postings,
+                    a.sealed_segments + b.sealed_segments);
+    }
+    // A destroyed engine withdraws its part.
+    expect_gauges(a.documents, a.postings, a.sealed_segments);
+  }
+  expect_gauges(0, 0, 0);
 }
 
 // ---- IVF-flat ---------------------------------------------------------
@@ -425,7 +450,9 @@ TEST(IvfFlat, ProbingAllClustersEqualsBruteForce) {
   double got_total = 0.0;
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_NEAR(got[i].score, naive[got[i].doc], kTol) << "rank " << i;
-    if (i > 0) EXPECT_GE(got[i - 1].score + kTol, got[i].score);
+    if (i > 0) {
+      EXPECT_GE(got[i - 1].score + kTol, got[i].score);
+    }
     got_total += naive[got[i].doc];
   }
   EXPECT_NEAR(got_total, want_total, 10 * kTol);

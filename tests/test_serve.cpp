@@ -36,6 +36,13 @@ core::HpcGpt& shared_model() {
 
 const std::string kQuestion = "Does this loop have a data race?";
 
+serve::ServeConfig lanes(std::size_t max_batch, std::size_t max_new_tokens) {
+  serve::ServeConfig config;
+  config.max_batch = max_batch;
+  config.max_new_tokens = max_new_tokens;
+  return config;
+}
+
 std::future<core::GenerationResult> submit_question(
     serve::InferenceServer& server, std::size_t max_new_tokens = 0) {
   core::GenerationRequest request;
@@ -51,9 +58,7 @@ TEST(Serve, StatsSnapshotIsConsistentUnderConcurrentSubmits) {
   // submit() and stats() from several threads; under TSan this is a
   // data-race probe, and in any build the monotonic-counter checks below
   // catch torn or out-of-thin-air values.
-  serve::InferenceServer server(
-      shared_model(),
-      serve::ServeConfig{.max_batch = 4, .max_new_tokens = 6});
+  serve::InferenceServer server(shared_model(), lanes(4, 6));
 
   std::atomic<bool> stop{false};
   std::atomic<int> violations{0};
@@ -105,9 +110,7 @@ TEST(Serve, ContinuousBatchingKeepsQueueDraining) {
   // One long generation must not serialize the queue: with 2 lanes and 6
   // requests, at least two streams must have been in flight together
   // (peak_batch == 2) and everything still completes.
-  serve::InferenceServer server(
-      shared_model(),
-      serve::ServeConfig{.max_batch = 2, .max_new_tokens = 24});
+  serve::InferenceServer server(shared_model(), lanes(2, 24));
   std::vector<std::future<core::GenerationResult>> futures;
   for (int i = 0; i < 6; ++i) futures.push_back(submit_question(server));
   for (auto& f : futures) (void)f.get();
@@ -125,11 +128,9 @@ TEST(Serve, ContinuousBatchingKeepsQueueDraining) {
 TEST(Serve, AdmissionWindowFillsTheFirstBatch) {
   // With a generous admission window, a burst submitted while the server
   // is idle is decoded at full occupancy from round one.
-  serve::InferenceServer server(
-      shared_model(),
-      serve::ServeConfig{.max_batch = 4,
-                           .max_new_tokens = 8,
-                           .admission_window_seconds = 0.25});
+  serve::ServeConfig config = lanes(4, 8);
+  config.admission_window_seconds = 0.25;
+  serve::InferenceServer server(shared_model(), config);
   std::vector<std::future<core::GenerationResult>> futures;
   for (int i = 0; i < 4; ++i) futures.push_back(submit_question(server));
   for (auto& f : futures) (void)f.get();
@@ -146,9 +147,7 @@ TEST(Serve, AdmissionWindowFillsTheFirstBatch) {
 TEST(Serve, StatsAfterShutdownAreFinal) {
   serve::ServerStats st;
   {
-    serve::InferenceServer server(
-        shared_model(),
-        serve::ServeConfig{.max_batch = 3, .max_new_tokens = 4});
+    serve::InferenceServer server(shared_model(), lanes(3, 4));
     auto f1 = submit_question(server);
     auto f2 = submit_question(server);
     (void)f1.get();
@@ -166,9 +165,7 @@ TEST(Serve, TypedResultsAccountingMatchesServerStats) {
   // ServerStats view over the metrics registry must describe the same
   // run: summed token counts equal, ids unique and nonzero, latencies
   // within the aggregate sum.
-  serve::InferenceServer server(
-      shared_model(),
-      serve::ServeConfig{.max_batch = 3, .max_new_tokens = 10});
+  serve::InferenceServer server(shared_model(), lanes(3, 10));
   constexpr std::size_t kRequests = 9;
   std::vector<std::future<core::GenerationResult>> futures;
   for (std::size_t i = 0; i < kRequests; ++i) {
@@ -205,9 +202,7 @@ TEST(Serve, TypedResultsAccountingMatchesServerStats) {
 }
 
 TEST(Serve, PerRequestBudgetOverridesServerDefault) {
-  serve::InferenceServer server(
-      shared_model(),
-      serve::ServeConfig{.max_batch = 2, .max_new_tokens = 24});
+  serve::InferenceServer server(shared_model(), lanes(2, 24));
   auto tight = submit_question(server, /*max_new_tokens=*/3);
   auto wide = submit_question(server);  // server default: 24
   const core::GenerationResult tight_result = tight.get();
@@ -242,9 +237,7 @@ TEST(Serve, SubmitAfterShutdownResolvesRejected) {
 }
 
 TEST(Serve, MetricsJsonExposesServerAndProcessRegistries) {
-  serve::InferenceServer server(
-      shared_model(),
-      serve::ServeConfig{.max_batch = 2, .max_new_tokens = 5});
+  serve::InferenceServer server(shared_model(), lanes(2, 5));
   constexpr std::size_t kRequests = 4;
   std::vector<std::future<core::GenerationResult>> futures;
   for (std::size_t i = 0; i < kRequests; ++i) {
@@ -291,14 +284,12 @@ TEST(Serve, RagPreStageAugmentsRelevantPromptsOnly) {
   // Unaugmented baseline: the same question served without RAG.
   std::size_t bare_tokens = 0;
   {
-    serve::InferenceServer bare(
-        shared_model(),
-        serve::ServeConfig{.max_batch = 1, .max_new_tokens = 4});
+    serve::InferenceServer bare(shared_model(), lanes(1, 4));
     bare_tokens = submit_question(bare, 4).get().prompt_tokens;
     bare.shutdown();
   }
 
-  serve::ServeConfig config{.max_batch = 2, .max_new_tokens = 4};
+  serve::ServeConfig config = lanes(2, 4);
   config.rag.enabled = true;
   config.rag.engine = engine;
   config.rag.top_k = 1;
@@ -323,7 +314,7 @@ TEST(Serve, RagPreStageAugmentsRelevantPromptsOnly) {
 }
 
 TEST(Serve, RagEnabledWithoutEngineIsRejectedAtConstruction) {
-  serve::ServeConfig config{.max_batch = 1, .max_new_tokens = 4};
+  serve::ServeConfig config = lanes(1, 4);
   config.rag.enabled = true;  // no engine attached
   EXPECT_THROW(serve::InferenceServer(shared_model(), config), Error);
 }

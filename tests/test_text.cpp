@@ -163,7 +163,7 @@ TEST(Chunker, EmptyDocumentNoChunks) {
 
 TEST(Chunker, RespectsMaxWords) {
   std::string doc;
-  for (int i = 0; i < 500; ++i) doc += "w" + std::to_string(i) + " ";
+  for (int i = 0; i < 500; ++i) doc += 'w' + std::to_string(i) + ' ';
   ChunkOptions opt;
   opt.max_words = 100;
   opt.overlap_words = 10;
@@ -176,7 +176,7 @@ TEST(Chunker, RespectsMaxWords) {
 
 TEST(Chunker, OverlapCarriesWords) {
   std::string doc;
-  for (int i = 0; i < 250; ++i) doc += "w" + std::to_string(i) + " ";
+  for (int i = 0; i < 250; ++i) doc += 'w' + std::to_string(i) + ' ';
   ChunkOptions opt;
   opt.max_words = 100;
   opt.overlap_words = 20;

@@ -163,9 +163,10 @@ TEST(TraceServe, RequestSpansShareTraceIdAndNestInPerfettoExport) {
   sink.set_capacity(1 << 14);
   sink.enable(true);
   {
-    serve::InferenceServer server(
-        shared_model(),
-        serve::ServeConfig{.max_batch = 2, .max_new_tokens = 6});
+    serve::ServeConfig config;
+    config.max_batch = 2;
+    config.max_new_tokens = 6;
+    serve::InferenceServer server(shared_model(), config);
     core::GenerationRequest a;
     a.prompt = "Does this loop have a data race?";
     core::GenerationRequest b;
