@@ -137,9 +137,9 @@ void BM_GenerateCached(benchmark::State& state) {
 }
 BENCHMARK(BM_GenerateCached)->Arg(16)->Arg(48);
 
-// Steady-state single-stream decode: tokens/sec through the KV-cached
-// decode_step path after a prefilled prompt. items_per_second is the
-// engine's single-lane generation speed.
+// Steady-state single-stream decode: tokens/sec through single-token
+// KV-cached forward_ragged calls after a prefilled prompt.
+// items_per_second is the engine's single-lane generation speed.
 void BM_DecodeThroughput(benchmark::State& state) {
   const text::BpeTokenizer tok = core::build_shared_tokenizer();
   core::ModelOptions spec = core::spec_for(core::BaseModel::Llama);
@@ -150,12 +150,14 @@ void BM_DecodeThroughput(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();  // session setup + prefill are not decode work
     nn::DecodeState session = model.model().new_decode_state();
-    text::TokenId next =
-        65;  // fixed id: identical work every iteration
-    model.model().prefill(session, prompt);
+    const text::TokenId next = 65;  // fixed id: identical work every step
+    nn::InferenceScratch prefill_scratch, scratch;
+    const nn::RaggedLane prefill{&session, prompt};
+    model.model().forward_ragged({&prefill, 1}, prefill_scratch);
+    const nn::RaggedLane step{&session, {&next, 1}};
     state.ResumeTiming();
     for (std::size_t s = 0; s < steps; ++s) {
-      const auto logits = model.model().decode_step(session, next);
+      const auto& logits = model.model().forward_ragged({&step, 1}, scratch);
       benchmark::DoNotOptimize(logits.data());
     }
   }

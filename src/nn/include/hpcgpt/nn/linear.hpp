@@ -40,27 +40,23 @@ class Linear {
   /// Folds the LoRA product into W (for cheap inference after training).
   void merge_lora();
 
-  /// Stateless single-row application y = x·W (+ LoRA term): used by the
-  /// incremental decoder, which must not disturb the training caches.
-  /// `x` has in_features() elements, `y` out_features().
-  void apply(std::span<const float> x, std::span<float> y) const;
-
-  /// Stateless batched application y = x·W (+ LoRA term) over all rows of
-  /// `x` via the blocked GEMM. Like apply(), it neither reads nor writes
-  /// the training caches, so it is safe to call concurrently from many
-  /// threads — the prefill path of the batched inference engine.
+  /// Stateless application y = x·W (+ LoRA term) over all rows of `x`
+  /// via tensor::matmul (or the quantized kernels). It neither reads nor
+  /// writes the training caches, so it is safe to call concurrently from
+  /// many threads — the inference forward (Transformer::forward_ragged)
+  /// runs every projection through it, one row per decode lane or many
+  /// per prompt. `y` keeps its storage when its shape already matches.
   void apply_rows(const tensor::Matrix& x, tensor::Matrix& y) const;
 
   void collect_parameters(ParameterList& out);
 
   /// Repacks W into `mode` storage (int8 per-output-channel or fp16) and
-  /// frees the fp32 weight — the layer becomes inference-only: apply,
+  /// frees the fp32 weight — the layer becomes inference-only:
   /// apply_rows and forward route through the quantized kernels;
   /// backward throws. LoRA must be merged first (merge_lora()), and a
   /// layer can only be quantized once. `mode == Fp32` is a no-op.
   void quantize(tensor::QuantMode mode);
 
-  tensor::QuantMode quant_mode() const { return qmode_; }
   bool quantized() const { return qmode_ != tensor::QuantMode::Fp32; }
 
   /// Bytes of weight storage in the current mode (fp32 matrix or packed
@@ -75,14 +71,6 @@ class Linear {
   }
   bool has_lora() const { return lora_rank_ > 0; }
   const Parameter& weight() const { return weight_; }
-
-  /// Packed quantized weights — meaningful only when quantized(). The
-  /// decode loop uses these directly (gemv_prequant) to share one
-  /// activation quantization across sibling layers consuming the same
-  /// normalized row.
-  const tensor::QuantizedMatrix& quantized_weights() const {
-    return qweight_;
-  }
 
  private:
   Parameter weight_;

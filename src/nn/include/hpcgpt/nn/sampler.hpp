@@ -25,9 +25,9 @@ text::TokenId sample_token(std::span<const float> logits, float temperature,
                            Rng& rng);
 
 /// KV-cached generation of a continuation of `prompt_ids`. The prompt is
-/// ingested in one batched GEMM prefill pass, then each emitted token
-/// costs one allocation-free O(T·d) decode step instead of a full
-/// O(T²·d) forward. Token-for-token identical to re-running the full
+/// ingested by one Transformer::forward_ragged call, then each emitted
+/// token costs one allocation-free O(T·d) single-lane call instead of a
+/// full O(T²·d) forward. Token-for-token identical to re-running the full
 /// forward per token (greedy, and for any fixed sampling seed) — the
 /// tests check it against exactly that oracle.
 std::vector<text::TokenId> generate_cached(

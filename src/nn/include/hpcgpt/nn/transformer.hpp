@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "hpcgpt/nn/config.hpp"
@@ -12,74 +13,44 @@
 
 namespace hpcgpt::nn {
 
-/// Reusable per-session work buffers for the incremental decode path.
-/// Sized once from the config; forward_step/decode_step then run with
-/// zero heap allocations in steady state, which is what lets the serving
-/// scheduler interleave thousands of decode steps cheaply.
-struct DecodeScratch {
-  std::vector<float> x;         // residual stream row (d_model)
-  std::vector<float> normed;    // rmsnorm output     (d_model)
-  std::vector<float> q;         // query row          (d_model)
-  std::vector<float> k_row;     // new key row        (d_model)
-  std::vector<float> v_row;     // new value row      (d_model)
-  std::vector<float> attn;      // head-concat attention output (d_model)
-  std::vector<float> proj;      // wo/w_down output   (d_model)
-  std::vector<float> probs;     // attention weights  (max_seq)
-  std::vector<float> gate;      // SwiGLU gate lane   (d_ff)
-  std::vector<float> up;        // SwiGLU up lane     (d_ff)
-  std::vector<float> logits;    // head output        (vocab)
-  std::vector<std::int8_t> qx;  // shared int8 activation row (d_model
-                                // padded to the quantizer chunk)
+class DecodeState;
 
-  void resize(const TransformerConfig& config);
+/// One lane of a ragged forward: a session and the tokens it ingests at
+/// its current length — a prompt (or a chunk of one), or the single
+/// sampled token of a decode step.
+struct RaggedLane {
+  DecodeState* state = nullptr;
+  std::span<const text::TokenId> ids;
 };
 
-/// Work buffers for one batched decode round over several sessions.
-/// Owned by the scheduler (one per server), not per session: lanes come
-/// and go, the scratch persists. Row b of every matrix belongs to lane b.
-/// ensure() only reallocates when the lane count changes, so rounds with
-/// a stable batch are allocation-free apart from the GEMM outputs.
-struct BatchScratch {
-  tensor::Matrix x;       // residual stream        (batch × d_model)
-  tensor::Matrix normed;  // rmsnorm output         (batch × d_model)
-  tensor::Matrix q;       // query rows             (batch × d_model)
-  tensor::Matrix k_new;   // new key rows           (batch × d_model)
-  tensor::Matrix v_new;   // new value rows         (batch × d_model)
-  tensor::Matrix attn;    // attention output       (batch × d_model)
-  tensor::Matrix proj;    // wo/w_down output       (batch × d_model)
-  tensor::Matrix gate;    // SwiGLU gate lanes      (batch × d_ff)
-  tensor::Matrix up;      // SwiGLU up lanes        (batch × d_ff)
-  tensor::Matrix logits;  // head output            (batch × vocab)
-  std::vector<float> probs;  // attention weights, one lane at a time
+/// Work buffers of the ragged inference forward. The activation matrices
+/// hold every lane's rows stacked lane by lane (lane 0's tokens, then
+/// lane 1's, ...). One instance serves every block of the stack, and
+/// ensure() reallocates only when the row or lane count changes, so a
+/// decode loop over a stable batch runs allocation-free. Owned by the
+/// caller, not by a session: concurrent forwards need one each.
+struct InferenceScratch {
+  tensor::Matrix x;       // residual stream          (rows × d_model)
+  tensor::Matrix normed;  // rmsnorm output           (rows × d_model)
+  tensor::Matrix q;       // query rows               (rows × d_model)
+  tensor::Matrix k_new;   // new key rows             (rows × d_model)
+  tensor::Matrix v_new;   // new value rows           (rows × d_model)
+  tensor::Matrix attn;    // head-concat attention    (rows × d_model)
+  tensor::Matrix proj;    // wo / w_down output       (rows × d_model)
+  tensor::Matrix gate;    // SwiGLU gate lanes        (rows × d_ff)
+  tensor::Matrix up;      // SwiGLU up lanes          (rows × d_ff)
+  tensor::Matrix last;    // final-normed last row of each lane (lanes × d_model)
+  tensor::Matrix logits;  // head output              (lanes × vocab)
+  std::vector<float> probs;  // attention weights, one row at a time
 
-  void ensure(const TransformerConfig& config, std::size_t batch);
-};
-
-/// Work buffers for one prompt-ingestion (prefill) pass. One instance is
-/// reused across every block of the stack, so the ~9 activation matrices
-/// are allocated once per prompt instead of once per layer; the Linear
-/// apply_rows outputs additionally keep their storage between blocks
-/// because the shapes repeat.
-struct PrefillScratch {
-  tensor::Matrix normed;       // rmsnorm output      (seq × d_model)
-  tensor::Matrix q;            // query rows          (seq × d_model)
-  tensor::Matrix k_new;        // new key rows        (seq × d_model)
-  tensor::Matrix v_new;        // new value rows      (seq × d_model)
-  tensor::Matrix attn_concat;  // head-concat output  (seq × d_model)
-  tensor::Matrix attn_out;     // wo output           (seq × d_model)
-  tensor::Matrix gate;         // SwiGLU gate lanes   (seq × d_ff)
-  tensor::Matrix up;           // SwiGLU up lanes     (seq × d_ff)
-  tensor::Matrix mlp_out;      // w_down output       (seq × d_model)
-  std::vector<float> probs;    // attention weights, one row at a time
-
-  void ensure(const TransformerConfig& config, std::size_t seq);
+  void ensure(const TransformerConfig& config, std::size_t rows,
+              std::size_t lanes);
 };
 
 /// Decoding session state over the block-paged KV cache: per-layer page
 /// tables (the KvBlockTable indirection — position s of layer l lives in
 /// slot s % kPageSize of the table's page s / kPageSize), a shared
-/// KvPagePool the pages come from, and the allocation-free scratch arena
-/// shared by all blocks of the session.
+/// KvPagePool the pages come from, and the session length.
 ///
 /// Pages are acquired lazily as positions are appended (prepare_append),
 /// released on destruction, and may be *shared* with other sessions
@@ -123,8 +94,8 @@ class DecodeState {
 
   /// Ensures positions [length(), length() + count) are writable in
   /// every layer: forks shared tail pages (COW) and allocates missing
-  /// ones. Called by the decode/prefill paths; public so schedulers can
-  /// front-load allocation failures before touching the model.
+  /// ones. Called by Transformer::forward_ragged; public so schedulers
+  /// can front-load allocation failures before touching the model.
   void prepare_append(std::size_t count);
 
  private:
@@ -138,7 +109,6 @@ class DecodeState {
   std::size_t n_layers_ = 0;
   std::vector<std::vector<std::uint32_t>> tables_;  // [layer][page index]
   std::vector<std::vector<float*>> page_ptrs_;      // cached data(table[i])
-  DecodeScratch scratch_;
   std::size_t length_ = 0;
   std::size_t reserved_ = 0;
 };
@@ -167,32 +137,18 @@ class TransformerBlock {
   /// dx is dL/d(output), replaced by dL/d(input).
   void backward(tensor::Matrix& dx);
 
-  /// Incremental forward for one new position: `x` (d_model) is the
-  /// residual-stream row at position `pos`; the block's keys/values are
-  /// appended into `pages` — this layer's page-pointer table, with the
-  /// page for position pos already allocated/private (see
-  /// DecodeState::prepare_append). Work buffers come from `scratch` — no
-  /// heap allocation. Does not touch the training caches.
-  void forward_step(std::span<float> x, std::size_t pos,
-                    float* const* pages, DecodeScratch& scratch) const;
-
-  /// Batched prompt ingestion: `x` holds the residual-stream rows of
-  /// positions [pos0, pos0 + x.rows()); transforms them in place via the
-  /// blocked GEMMs and writes every K/V row of this block into `pages`
-  /// in one pass. Const and cache-free like forward_step, so concurrent
-  /// sessions can prefill the same block (each with its own scratch).
-  void forward_prefill(tensor::Matrix& x, std::size_t pos0,
-                       float* const* pages, PrefillScratch& scratch) const;
-
-  /// One decode step for `x.rows()` independent sessions at once: row b of
-  /// `x` is the residual-stream row of lane b, whose cache/position come
-  /// from states[b] (this block's layer index is `layer`). All projections
-  /// run as row-batched GEMMs across lanes — the cross-request batching
-  /// that amortizes weight traffic over the batch — while attention stays
-  /// per-lane (each lane has its own cache horizon).
-  void forward_step_batch(tensor::Matrix& x,
-                          std::span<DecodeState* const> states,
-                          std::size_t layer, BatchScratch& scratch) const;
+  /// The inference forward over ragged lanes: `x` holds the residual-
+  /// stream rows of every lane stacked lane by lane, lane b contributing
+  /// lanes[b].ids.size() rows at positions [length, length + n_b) of its
+  /// session. Every projection runs once over all rows (one GEMM per
+  /// weight, so the weights stream through the cache once per call);
+  /// each lane's new K/V rows are written into its pages for this block
+  /// (`layer`), page-run at a time, and each row attends over its own
+  /// session up to its own position. The pages must already be writable
+  /// (DecodeState::prepare_append). Const and cache-free, so concurrent
+  /// calls with distinct sessions and scratches may share the block.
+  void forward_ragged(tensor::Matrix& x, std::span<const RaggedLane> lanes,
+                      std::size_t layer, InferenceScratch& scratch) const;
 
  private:
   TransformerConfig config_{};
@@ -212,7 +168,7 @@ class TransformerBlock {
   std::vector<float> inv_rms2_;
   tensor::Matrix gate_pre_, up_, swiglu_;
 
-  // ---- training scratch (PrefillScratch-style reuse) ----
+  // ---- training scratch (InferenceScratch-style reuse) ----
   // forward/backward temporaries that keep their storage across train
   // steps: packed sequences repeat the same shapes, so after the first
   // step the whole train path runs without per-call tensor allocations.
@@ -287,33 +243,29 @@ class Transformer {
   /// The model's default (growable) page pool.
   const std::shared_ptr<KvPagePool>& page_pool() const { return pool_; }
 
-  /// Feeds one token through the KV-cached path and returns the logits of
-  /// the new position (vocab-sized). Equivalent to logits(prefix).row(last)
-  /// but O(T·d) per call. The returned span points into the session's
-  /// scratch arena: it stays valid until the next decode_step/prefill on
-  /// the same state, and no allocation happens in steady state.
-  std::span<const float> decode_step(DecodeState& state,
-                                     text::TokenId id) const;
-
-  /// Batched prompt ingestion (the prefill half of the inference engine):
-  /// runs all of `ids` through the blocked-GEMM forward once, writes every
-  /// K/V row into the session caches in one pass and returns the logits of
-  /// the last position (same lifetime rules as decode_step). Equivalent to
-  /// calling decode_step per token, at GEMM rather than GEMV arithmetic
-  /// intensity. Thread-safe across states: the model is only read.
-  std::span<const float> prefill(DecodeState& state,
-                                 std::span<const text::TokenId> ids) const;
-
-  /// One decode step for a batch of independent sessions (the continuous-
-  /// batching inner loop): feeds ids[b] through states[b] for all b in one
-  /// pass, with every Linear running as a row-batched GEMM across lanes,
-  /// and returns the (batch × vocab) logits — row b belongs to lane b,
-  /// valid until the next call with the same scratch. States must be
-  /// distinct sessions of this model. Thread-safe w.r.t. the model (read
-  /// only); equivalent to calling decode_step(states[b], ids[b]) per lane.
-  const tensor::Matrix& decode_step_batch(
-      std::span<DecodeState* const> states,
-      std::span<const text::TokenId> ids, BatchScratch& scratch) const;
+  /// The one KV-cached inference entry point: feeds lanes[b].ids through
+  /// session lanes[b].state for every b in one pass and returns the
+  /// (lanes × vocab) logits of each lane's last position, row b for lane
+  /// b, valid until the next call with the same scratch. A lane may carry
+  /// a whole prompt (prefill), a chunk of one, or one sampled token
+  /// (decode); row r of lane b is equivalent to logits(prefix).row(last)
+  /// at O(T·d) per token. Every lane is validated — non-empty ids in
+  /// vocabulary range, context left — before any session changes, so a
+  /// throw leaves every length() and pages_held() as it was (a page pool
+  /// running out is the exception: earlier lanes may keep new pages).
+  /// States must be distinct sessions of this model. Thread-safe across
+  /// calls with distinct sessions and scratches: the model is only read.
+  ///
+  /// Numerics: int8 and fp16 projections work row by row, and fp32 ones
+  /// (LoRA adapters included) keep one row's k-order while the call has
+  /// at most eight rows in all (tensor::matmul's small path). Within
+  /// those limits a lane's logits do not depend on the other lanes, so N
+  /// one-token lanes in one call are bitwise equal to the same lanes fed
+  /// one per call. More fp32 rows switch to the blocked GEMM, whose
+  /// k-order differs: a long chunk mixed with decode lanes agrees with
+  /// separate calls to float rounding, not bitwise.
+  const tensor::Matrix& forward_ragged(std::span<const RaggedLane> lanes,
+                                       InferenceScratch& scratch) const;
 
   /// Training step on one sequence: forward, cross-entropy against
   /// `targets` (target[i] is the id expected *at* position i, i.e. already

@@ -36,9 +36,12 @@ std::vector<text::TokenId> generate_cached(
   require(!prompt_ids.empty(), "generate_cached: empty prompt");
   Rng rng(options.seed);
   DecodeState state = model.new_decode_state();
-  // Prefill: the whole prompt goes through the batched GEMM path in one
-  // pass instead of one decode_step per prompt token.
-  std::span<const float> last = model.prefill(state, prompt_ids);
+  InferenceScratch scratch;
+  // One forward ingests the whole prompt through the GEMMs; then every
+  // emitted token is one single-lane forward of one token.
+  const RaggedLane prompt{&state, prompt_ids};
+  std::span<const float> last =
+      model.forward_ragged({&prompt, 1}, scratch).row(0);
   std::vector<text::TokenId> out;
   for (std::size_t step = 0; step < options.max_new_tokens; ++step) {
     if (state.length() >= model.config().max_seq) break;
@@ -49,7 +52,8 @@ std::vector<text::TokenId> generate_cached(
         state.length() >= model.config().max_seq) {
       break;
     }
-    last = model.decode_step(state, next);
+    const RaggedLane step_lane{&state, {&next, 1}};
+    last = model.forward_ragged({&step_lane, 1}, scratch).row(0);
   }
   return out;
 }

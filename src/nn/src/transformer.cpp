@@ -28,7 +28,6 @@ struct InferenceMetrics {
   obs::Histogram& prefill_seconds;
   obs::Counter& decode_steps;
   obs::Counter& decode_rounds;
-  obs::Counter& decode_lane_steps;
   obs::Histogram& decode_round_seconds;
   obs::Histogram& kv_occupancy;
 };
@@ -43,7 +42,6 @@ InferenceMetrics& inference_metrics() {
       r.histogram("nn.prefill.seconds"),
       r.counter("nn.decode.steps"),
       r.counter("nn.decode.rounds"),
-      r.counter("nn.decode.lane_steps"),
       r.histogram("nn.decode.round_seconds"),
       r.histogram("nn.kv.occupancy", kOccupancyBounds),
   };
@@ -360,298 +358,114 @@ void TransformerBlock::backward(Matrix& dx) {
 
 namespace {
 
-/// Row-wise RMSNorm without training caches (decode path). Routed
-/// through the ISA-dispatched kernel: all inference paths (single-lane,
-/// batched, prefill) share it, so they stay mutually consistent.
+/// Row-wise RMSNorm without training caches (inference path), routed
+/// through the ISA-dispatched kernel.
 void rmsnorm_row(const hpcgpt::nn::Parameter& gain,
                  std::span<const float> x, std::span<float> out) {
   tensor::kernels::active().rmsnorm_row(x.data(), gain.value.data(),
                                         x.size(), kNormEps, out.data());
 }
 
-/// In-place softmax over probs[0..len), returning 1/sum so callers can
-/// fold the normalisation into the value pass. The max / exp / sum loops
-/// are deliberately separate: a fused exp+sum loop carries a float
-/// reduction that blocks vectorization, and the elementwise fast_expf
-/// pass is where the cycles go (it vectorizes 8-wide on its own).
-inline float softmax_inplace(float* __restrict probs, std::size_t len) {
-  float max_score = probs[0];
-  for (std::size_t s = 1; s < len; ++s) {
-    max_score = std::max(max_score, probs[s]);
+void rmsnorm_rows(const hpcgpt::nn::Parameter& gain, const Matrix& x,
+                  Matrix& out) {
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    rmsnorm_row(gain, x.row(r), out.row(r));
   }
-  for (std::size_t s = 0; s < len; ++s) {
-    probs[s] = fast_expf(probs[s] - max_score);
-  }
-  float denom = 0.0f;
-  for (std::size_t s = 0; s < len; ++s) denom += probs[s];
-  return 1.0f / denom;
 }
 
 }  // namespace
 
-void TransformerBlock::forward_step(std::span<float> x, std::size_t pos,
-                                    float* const* pages,
-                                    DecodeScratch& scratch) const {
+void TransformerBlock::forward_ragged(Matrix& x,
+                                      std::span<const RaggedLane> lanes,
+                                      std::size_t layer,
+                                      InferenceScratch& scratch) const {
   constexpr std::size_t kPage = KvPagePool::kPageSize;
   const std::size_t d = config_.d_model;
   const std::size_t hd = config_.head_dim();
   const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
-
-  // --- attention sub-layer ---
-  std::span<float> normed(scratch.normed.data(), d);
-  rmsnorm_row(norm1_gain_, x, normed);
-  std::span<float> q(scratch.q.data(), d);
-  std::span<float> k_row(scratch.k_row.data(), d);
-  std::span<float> v_row(scratch.v_row.data(), d);
-  if (wq_.quant_mode() == tensor::QuantMode::Int8) {
-    // wq/wk/wv consume the same normalized row: quantize it once and
-    // share the bytes. The quantizer depends on the row alone, so this
-    // is bitwise-identical to three independent apply() calls.
-    const float xs = tensor::kernels::quantize_row_i8(
-        normed.data(), d, scratch.qx.size(), scratch.qx.data());
-    wq_.quantized_weights().gemv_prequant(scratch.qx.data(), xs, q);
-    wk_.quantized_weights().gemv_prequant(scratch.qx.data(), xs, k_row);
-    wv_.quantized_weights().gemv_prequant(scratch.qx.data(), xs, v_row);
-  } else {
-    wq_.apply(normed, q);
-    wk_.apply(normed, k_row);
-    wv_.apply(normed, v_row);
-  }
-  // Scatter the new K/V row into its slot of the page covering `pos`
-  // (feature-major within the page, stride kPage; V slab at d·kPage).
-  float* page = pages[pos / kPage];
-  float* kc = page + pos % kPage;
-  float* vc = kc + d * kPage;
-  for (std::size_t i = 0; i < d; ++i) {
-    kc[i * kPage] = k_row[i];
-    vc[i * kPage] = v_row[i];
-  }
-
-  // Both attention passes run unit-stride over positions within each
-  // page: scores, softmax and the value reduction go through the
-  // ISA-dispatched fp32 kernels (tensor::kernels) — the decode loop's
-  // hottest non-GEMV work, SIMD-tiered alongside the quantized GEMVs.
   const tensor::kernels::KernelTable& kt = tensor::kernels::active();
-  std::span<float> attn(scratch.attn.data(), d);
-  const std::size_t len = pos + 1;
-  float* __restrict probs = scratch.probs.data();
-  for (std::size_t h = 0; h < config_.n_heads; ++h) {
-    const std::size_t off = h * hd;
-    kt.attn_scores_paged(q.data() + off, scale, pages, off * kPage, hd, len,
-                         probs);
-    const float inv = kt.softmax_row(probs, len);
-    kt.attn_values_paged(probs, inv, pages, d * kPage + off * kPage, hd, len,
-                         attn.data() + off);
-  }
-  std::span<float> proj(scratch.proj.data(), d);
-  wo_.apply(attn, proj);
-  for (std::size_t i = 0; i < d; ++i) x[i] += proj[i];
-
-  // --- MLP sub-layer ---
-  rmsnorm_row(norm2_gain_, x, normed);
-  std::span<float> gate(scratch.gate.data(), config_.d_ff);
-  std::span<float> up(scratch.up.data(), config_.d_ff);
-  if (w_gate_.quant_mode() == tensor::QuantMode::Int8) {
-    // Same single-quantization trick as the QKV projections above.
-    const float xs = tensor::kernels::quantize_row_i8(
-        normed.data(), d, scratch.qx.size(), scratch.qx.data());
-    w_gate_.quantized_weights().gemv_prequant(scratch.qx.data(), xs, gate);
-    w_up_.quantized_weights().gemv_prequant(scratch.qx.data(), xs, up);
-  } else {
-    w_gate_.apply(normed, gate);
-    w_up_.apply(normed, up);
-  }
-  kt.silu_mul(gate.data(), up.data(), config_.d_ff);
-  w_down_.apply(gate, proj);
-  for (std::size_t i = 0; i < d; ++i) x[i] += proj[i];
-}
-
-void TransformerBlock::forward_prefill(Matrix& x, std::size_t pos0,
-                                       float* const* pages,
-                                       PrefillScratch& scratch) const {
-  constexpr std::size_t kPage = KvPagePool::kPageSize;
-  const std::size_t seq = x.rows();
-  const std::size_t d = config_.d_model;
-  const std::size_t hd = config_.head_dim();
-  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
 
   // --- attention sub-layer ---
-  Matrix& normed = scratch.normed;
-  for (std::size_t t = 0; t < seq; ++t) {
-    rmsnorm_row(norm1_gain_, x.row(t), normed.row(t));
-  }
-  Matrix& q = scratch.q;
-  wq_.apply_rows(normed, q);
-  // K/V of the whole prompt land in the session cache in one GEMM pass
-  // each — this is the "write all K/V rows at once" half of prefill.
-  Matrix& k_new = scratch.k_new;
-  Matrix& v_new = scratch.v_new;
-  wk_.apply_rows(normed, k_new);
-  wv_.apply_rows(normed, v_new);
-  // Transpose-scatter into the paged cache, page-run at a time: within a
-  // page, feature i's slots for positions [lo, hi) are the contiguous run
-  // page[i·kPage + lo%kPage ...], so the inner loops stay unit-stride.
-  for (std::size_t t0 = 0; t0 < seq;) {
-    const std::size_t pos = pos0 + t0;
-    float* page = pages[pos / kPage];
-    const std::size_t slot = pos % kPage;
-    const std::size_t run = std::min(seq - t0, kPage - slot);
-    for (std::size_t i = 0; i < d; ++i) {
-      float* __restrict kt = page + i * kPage + slot;
-      float* __restrict vt = kt + d * kPage;
-      for (std::size_t r = 0; r < run; ++r) {
-        kt[r] = k_new.at(t0 + r, i);
-        vt[r] = v_new.at(t0 + r, i);
-      }
-    }
-    t0 += run;
-  }
-
-  // Per-head causal attention over the feature-major cache: scores as
-  // unit-stride axpys per query feature, values as unit-stride dots per
-  // output feature, softmax via the vectorizable fast_expf. (Measured
-  // alternatives — per-head GEMM via matmul/matmul_nt, and 4-wide
-  // feature unrolling — both lose at these shapes: the causal horizons
-  // average seq/2, so dispatch and packing overheads dominate.)
-  Matrix& attn_concat = scratch.attn_concat;
-  std::vector<float>& probs = scratch.probs;
-  const tensor::kernels::KernelTable& kt = tensor::kernels::active();
-  for (std::size_t h = 0; h < config_.n_heads; ++h) {
-    const std::size_t off = h * hd;
-    for (std::size_t t = 0; t < seq; ++t) {
-      const std::size_t len = pos0 + t + 1;  // causal horizon of this row
-      float* __restrict pr = probs.data();
-      kt.attn_scores_paged(q.row(t).data() + off, scale, pages, off * kPage,
-                           hd, len, pr);
-      const float inv = kt.softmax_row(pr, len);
-      kt.attn_values_paged(pr, inv, pages, d * kPage + off * kPage, hd, len,
-                           attn_concat.row(t).data() + off);
-    }
-  }
-  Matrix& attn_out = scratch.attn_out;
-  wo_.apply_rows(attn_concat, attn_out);
-  tensor::add_inplace(x, attn_out);
-
-  // --- MLP sub-layer (SwiGLU) ---
-  for (std::size_t t = 0; t < seq; ++t) {
-    rmsnorm_row(norm2_gain_, x.row(t), normed.row(t));
-  }
-  Matrix& gate = scratch.gate;
-  Matrix& up = scratch.up;
-  w_gate_.apply_rows(normed, gate);
-  w_up_.apply_rows(normed, up);
-  for (std::size_t t = 0; t < seq; ++t) {
-    kt.silu_mul(gate.row(t).data(), up.row(t).data(), config_.d_ff);
-  }
-  Matrix& mlp_out = scratch.mlp_out;
-  w_down_.apply_rows(gate, mlp_out);
-  tensor::add_inplace(x, mlp_out);
-}
-
-void TransformerBlock::forward_step_batch(Matrix& x,
-                                          std::span<DecodeState* const> states,
-                                          std::size_t layer,
-                                          BatchScratch& scratch) const {
-  const std::size_t batch = x.rows();
-  const std::size_t hd = config_.head_dim();
-  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
-
-  // --- attention sub-layer ---
-  // The projections run once for the whole batch: one (batch × d) GEMM
-  // per weight instead of `batch` separate GEMVs, so each weight matrix
-  // is streamed through the cache once per round rather than per lane.
-  for (std::size_t b = 0; b < batch; ++b) {
-    rmsnorm_row(norm1_gain_, x.row(b), scratch.normed.row(b));
-  }
+  // The projections run once over every row of every lane: one GEMM per
+  // weight, so each weight matrix streams through the cache once per
+  // call rather than once per lane or per token.
+  rmsnorm_rows(norm1_gain_, x, scratch.normed);
   wq_.apply_rows(scratch.normed, scratch.q);
   wk_.apply_rows(scratch.normed, scratch.k_new);
   wv_.apply_rows(scratch.normed, scratch.v_new);
 
-  // Attention is inherently per-lane: every lane attends over its own
-  // page table at its own position. Same unit-stride loops as
-  // forward_step.
-  constexpr std::size_t kPage = KvPagePool::kPageSize;
-  for (std::size_t b = 0; b < batch; ++b) {
-    float* const* pages = states[b]->page_ptrs_[layer].data();
-    const std::size_t pos = states[b]->length_;
-    const std::size_t d = config_.d_model;
-    float* page = pages[pos / kPage];
-    float* kc = page + pos % kPage;
-    float* vc = kc + d * kPage;
-    const auto k_new = scratch.k_new.row(b);
-    const auto v_new = scratch.v_new.row(b);
-    for (std::size_t i = 0; i < d; ++i) {
-      kc[i * kPage] = k_new[i];
-      vc[i * kPage] = v_new[i];
+  // Attention is per lane: every lane attends over its own page table.
+  std::size_t row0 = 0;
+  for (const RaggedLane& lane : lanes) {
+    float* const* pages = lane.state->page_ptrs_[layer].data();
+    const std::size_t pos0 = lane.state->length_;
+    const std::size_t n = lane.ids.size();
+    // Transpose-scatter the lane's new K/V rows, page-run at a time:
+    // within a page, feature i's slots for positions [lo, hi) are the
+    // contiguous run page[i·kPage + lo%kPage ...] (V slab at d·kPage).
+    for (std::size_t t0 = 0; t0 < n;) {
+      const std::size_t pos = pos0 + t0;
+      float* page = pages[pos / kPage];
+      const std::size_t slot = pos % kPage;
+      const std::size_t run = std::min(n - t0, kPage - slot);
+      for (std::size_t i = 0; i < d; ++i) {
+        float* __restrict kc = page + i * kPage + slot;
+        float* __restrict vc = kc + d * kPage;
+        for (std::size_t r = 0; r < run; ++r) {
+          kc[r] = scratch.k_new.at(row0 + t0 + r, i);
+          vc[r] = scratch.v_new.at(row0 + t0 + r, i);
+        }
+      }
+      t0 += run;
     }
-
-    const auto q = scratch.q.row(b);
-    auto attn = scratch.attn.row(b);
-    const std::size_t len = pos + 1;
+    // Causal attention over the feature-major cache, each row up to its
+    // own position: scores, softmax and the value reduction run unit-
+    // stride over positions through the ISA-dispatched kernels. (Per-head
+    // GEMMs and 4-wide feature unrolling both measured slower at these
+    // shapes: the horizons are short, so dispatch and packing dominate.)
     float* __restrict probs = scratch.probs.data();
-    // Same dispatched kernels as the single-lane step, so batched decode
-    // stays bit-identical to lane-at-a-time decode.
-    const tensor::kernels::KernelTable& kt = tensor::kernels::active();
-    for (std::size_t h = 0; h < config_.n_heads; ++h) {
-      const std::size_t off = h * hd;
-      kt.attn_scores_paged(q.data() + off, scale, pages, off * kPage, hd,
-                           len, probs);
-      const float inv = kt.softmax_row(probs, len);
-      kt.attn_values_paged(probs, inv, pages, d * kPage + off * kPage, hd,
-                           len, attn.data() + off);
+    for (std::size_t t = 0; t < n; ++t) {
+      const std::size_t len = pos0 + t + 1;
+      const float* q = scratch.q.row(row0 + t).data();
+      float* attn = scratch.attn.row(row0 + t).data();
+      for (std::size_t h = 0; h < config_.n_heads; ++h) {
+        const std::size_t off = h * hd;
+        kt.attn_scores_paged(q + off, scale, pages, off * kPage, hd, len,
+                             probs);
+        const float inv = kt.softmax_row(probs, len);
+        kt.attn_values_paged(probs, inv, pages, d * kPage + off * kPage, hd,
+                             len, attn + off);
+      }
     }
+    row0 += n;
   }
   wo_.apply_rows(scratch.attn, scratch.proj);
   tensor::add_inplace(x, scratch.proj);
 
   // --- MLP sub-layer (SwiGLU) ---
-  for (std::size_t b = 0; b < batch; ++b) {
-    rmsnorm_row(norm2_gain_, x.row(b), scratch.normed.row(b));
-  }
+  rmsnorm_rows(norm2_gain_, x, scratch.normed);
   w_gate_.apply_rows(scratch.normed, scratch.gate);
   w_up_.apply_rows(scratch.normed, scratch.up);
-  const tensor::kernels::KernelTable& kt = tensor::kernels::active();
-  for (std::size_t b = 0; b < batch; ++b) {
-    kt.silu_mul(scratch.gate.row(b).data(), scratch.up.row(b).data(),
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    kt.silu_mul(scratch.gate.row(r).data(), scratch.up.row(r).data(),
                 config_.d_ff);
   }
   w_down_.apply_rows(scratch.gate, scratch.proj);
   tensor::add_inplace(x, scratch.proj);
 }
 
-void DecodeScratch::resize(const TransformerConfig& config) {
-  x.assign(config.d_model, 0.0f);
-  normed.assign(config.d_model, 0.0f);
-  q.assign(config.d_model, 0.0f);
-  k_row.assign(config.d_model, 0.0f);
-  v_row.assign(config.d_model, 0.0f);
-  attn.assign(config.d_model, 0.0f);
-  proj.assign(config.d_model, 0.0f);
-  probs.assign(config.max_seq, 0.0f);
-  gate.assign(config.d_ff, 0.0f);
-  up.assign(config.d_ff, 0.0f);
-  logits.assign(config.vocab_size, 0.0f);
-  qx.assign((config.d_model + 15) / 16 * 16, 0);
-}
-
-void BatchScratch::ensure(const TransformerConfig& config,
-                          std::size_t batch) {
-  if (x.rows() != batch || x.cols() != config.d_model) {
-    x = tensor::Matrix(batch, config.d_model);
-    normed = tensor::Matrix(batch, config.d_model);
-    attn = tensor::Matrix(batch, config.d_model);
+void InferenceScratch::ensure(const TransformerConfig& config,
+                              std::size_t rows, std::size_t lanes) {
+  // x/normed/attn/last are written row by row, so they must be pre-sized;
+  // the apply_rows outputs size themselves and keep their storage while
+  // the shapes repeat.
+  if (x.rows() != rows || x.cols() != config.d_model) {
+    x = Matrix(rows, config.d_model);
+    normed = Matrix(rows, config.d_model);
+    attn = Matrix(rows, config.d_model);
   }
-  if (probs.size() < config.max_seq) probs.assign(config.max_seq, 0.0f);
-}
-
-void PrefillScratch::ensure(const TransformerConfig& config,
-                            std::size_t seq) {
-  // normed/attn_concat are read-and-written row-by-row, so they must be
-  // pre-sized; the apply_rows outputs size themselves and keep their
-  // storage between blocks because the shapes repeat.
-  if (normed.rows() != seq || normed.cols() != config.d_model) {
-    normed = tensor::Matrix(seq, config.d_model);
-    attn_concat = tensor::Matrix(seq, config.d_model);
+  if (last.rows() != lanes || last.cols() != config.d_model) {
+    last = Matrix(lanes, config.d_model);
   }
   if (probs.size() < config.max_seq) probs.assign(config.max_seq, 0.0f);
 }
@@ -674,7 +488,6 @@ DecodeState::DecodeState(const TransformerConfig& config,
     tables_[l].reserve(max_pages);
     page_ptrs_[l].reserve(max_pages);
   }
-  scratch_.resize(config);
 }
 
 DecodeState::~DecodeState() { release_all(); }
@@ -684,7 +497,6 @@ DecodeState::DecodeState(DecodeState&& other) noexcept
       n_layers_(other.n_layers_),
       tables_(std::move(other.tables_)),
       page_ptrs_(std::move(other.page_ptrs_)),
-      scratch_(std::move(other.scratch_)),
       length_(std::exchange(other.length_, 0)),
       reserved_(std::exchange(other.reserved_, 0)) {
   other.tables_.clear();
@@ -698,7 +510,6 @@ DecodeState& DecodeState::operator=(DecodeState&& other) noexcept {
     n_layers_ = other.n_layers_;
     tables_ = std::move(other.tables_);
     page_ptrs_ = std::move(other.page_ptrs_);
-    scratch_ = std::move(other.scratch_);
     length_ = std::exchange(other.length_, 0);
     reserved_ = std::exchange(other.reserved_, 0);
     other.tables_.clear();
@@ -960,113 +771,68 @@ DecodeState Transformer::new_decode_state(
   return DecodeState(config_, std::move(pool));
 }
 
-std::span<const float> Transformer::decode_step(DecodeState& state,
-                                                text::TokenId id) const {
-  inference_metrics().decode_steps.add(1);
-  const std::size_t pos = state.length_;
-  require(pos < config_.max_seq, "decode_step: context exhausted");
-  require(id >= 0 && static_cast<std::size_t>(id) < config_.vocab_size,
-          "decode_step: token id out of range");
-
-  state.prepare_append(1);
-  DecodeScratch& scratch = state.scratch_;
-  std::span<float> x(scratch.x.data(), config_.d_model);
-  add_embed_row(id, pos, x);
-
-  for (std::size_t l = 0; l < blocks_.size(); ++l) {
-    blocks_[l]->forward_step(x, pos, state.page_ptrs_[l].data(), scratch);
+const Matrix& Transformer::forward_ragged(std::span<const RaggedLane> lanes,
+                                          InferenceScratch& scratch) const {
+  require(!lanes.empty(), "forward_ragged: no lanes");
+  // Validate every lane before any session changes, so a bad lane leaves
+  // all of them untouched. A lane of one token is a decode step; a longer
+  // one ingests a prompt (or a chunk of one) and is counted as a prefill.
+  std::size_t rows = 0;
+  std::size_t prefill_lanes = 0;
+  for (const RaggedLane& lane : lanes) {
+    require(lane.state != nullptr && !lane.ids.empty(),
+            "forward_ragged: empty lane");
+    require(lane.state->length_ + lane.ids.size() <= config_.max_seq,
+            "forward_ragged: context exhausted");
+    for (const text::TokenId id : lane.ids) {
+      require(id >= 0 && static_cast<std::size_t>(id) < config_.vocab_size,
+              "forward_ragged: token id out of range");
+    }
+    rows += lane.ids.size();
+    if (lane.ids.size() > 1) ++prefill_lanes;
   }
-
-  std::span<float> normed(scratch.normed.data(), config_.d_model);
-  rmsnorm_row(final_gain_, x, normed);
-  head_.apply(normed, scratch.logits);
-  ++state.length_;
-  return scratch.logits;
-}
-
-const Matrix& Transformer::decode_step_batch(
-    std::span<DecodeState* const> states, std::span<const text::TokenId> ids,
-    BatchScratch& scratch) const {
-  require(!states.empty() && states.size() == ids.size(),
-          "decode_step_batch: states/ids size mismatch");
-  HPCGPT_TRACE("nn.decode_step_batch");
+  HPCGPT_TRACE_IF("nn.prefill", prefill_lanes > 0);
   InferenceMetrics& metrics = inference_metrics();
-  Timer round_timer;
-  const std::size_t batch = states.size();
-  scratch.ensure(config_, batch);
+  Timer timer;
+  scratch.ensure(config_, rows, lanes.size());
 
   Matrix& x = scratch.x;
-  for (std::size_t b = 0; b < batch; ++b) {
-    const std::size_t pos = states[b]->length_;
-    require(pos < config_.max_seq, "decode_step_batch: context exhausted");
-    const auto id = ids[b];
-    require(id >= 0 && static_cast<std::size_t>(id) < config_.vocab_size,
-            "decode_step_batch: token id out of range");
-    states[b]->prepare_append(1);
-    add_embed_row(id, pos, x.row(b));
+  std::size_t row = 0;
+  for (const RaggedLane& lane : lanes) {
+    lane.state->prepare_append(lane.ids.size());
+    for (std::size_t t = 0; t < lane.ids.size(); ++t) {
+      add_embed_row(lane.ids[t], lane.state->length_ + t, x.row(row++));
+    }
   }
-
   for (std::size_t l = 0; l < blocks_.size(); ++l) {
-    blocks_[l]->forward_step_batch(x, states, l, scratch);
+    blocks_[l]->forward_ragged(x, lanes, l, scratch);
   }
 
-  for (std::size_t b = 0; b < batch; ++b) {
-    rmsnorm_row(final_gain_, x.row(b), scratch.normed.row(b));
-  }
-  head_.apply_rows(scratch.normed, scratch.logits);
+  // Only each lane's last position feeds the sampler, so the head runs on
+  // one row per lane instead of every ingested row.
   std::size_t cached_positions = 0;
-  for (std::size_t b = 0; b < batch; ++b) {
-    cached_positions += ++states[b]->length_;
+  row = 0;
+  for (std::size_t b = 0; b < lanes.size(); ++b) {
+    DecodeState& state = *lanes[b].state;
+    row += lanes[b].ids.size();
+    rmsnorm_row(final_gain_, x.row(row - 1), scratch.last.row(b));
+    state.length_ += lanes[b].ids.size();
+    cached_positions += state.length_;
+    if (lanes[b].ids.size() > 1) {
+      metrics.prefill_calls.add(1);
+      metrics.prefill_tokens.add(lanes[b].ids.size());
+    }
   }
-  metrics.decode_rounds.add(1);
-  metrics.decode_lane_steps.add(batch);
-  metrics.decode_round_seconds.observe(round_timer.seconds());
+  const std::size_t decode_lanes = lanes.size() - prefill_lanes;
+  if (decode_lanes > 0) {
+    metrics.decode_rounds.add(1);
+    metrics.decode_steps.add(decode_lanes);
+  }
+  (prefill_lanes > 0 ? metrics.prefill_seconds : metrics.decode_round_seconds)
+      .observe(timer.seconds());
   metrics.kv_occupancy.observe(static_cast<double>(cached_positions) /
-                               static_cast<double>(batch));
-  return scratch.logits;
-}
-
-std::span<const float> Transformer::prefill(
-    DecodeState& state, std::span<const text::TokenId> ids) const {
-  require(!ids.empty(), "prefill: empty prompt");
-  HPCGPT_TRACE("nn.prefill");
-  InferenceMetrics& metrics = inference_metrics();
-  Timer prefill_timer;
-  const std::size_t pos0 = state.length_;
-  require(pos0 + ids.size() <= config_.max_seq,
-          "prefill: context exhausted");
-
-  state.prepare_append(ids.size());
-  Matrix x(ids.size(), config_.d_model);
-  for (std::size_t t = 0; t < ids.size(); ++t) {
-    const auto id = ids[t];
-    require(id >= 0 && static_cast<std::size_t>(id) < config_.vocab_size,
-            "prefill: token id out of range");
-    add_embed_row(id, pos0 + t, x.row(t));
-  }
-
-  // One scratch arena for the whole stack: every block reuses the same
-  // activation matrices, so a prompt costs one set of allocations (and on
-  // repeated prefills of similar length, zero — apply_rows keeps storage).
-  PrefillScratch prefill_scratch;
-  prefill_scratch.ensure(config_, ids.size());
-  for (std::size_t l = 0; l < blocks_.size(); ++l) {
-    blocks_[l]->forward_prefill(x, pos0, state.page_ptrs_[l].data(),
-                                prefill_scratch);
-  }
-  state.length_ = pos0 + ids.size();
-  metrics.prefill_calls.add(1);
-  metrics.prefill_tokens.add(ids.size());
-  metrics.prefill_seconds.observe(prefill_timer.seconds());
-  metrics.kv_occupancy.observe(static_cast<double>(state.length_));
-
-  // Only the last position's logits are needed downstream (the sampler
-  // feeds the next token through decode_step), so the head GEMV runs on
-  // one row instead of the whole prompt.
-  DecodeScratch& scratch = state.scratch_;
-  std::span<float> normed(scratch.normed.data(), config_.d_model);
-  rmsnorm_row(final_gain_, x.row(ids.size() - 1), normed);
-  head_.apply(normed, scratch.logits);
+                               static_cast<double>(lanes.size()));
+  head_.apply_rows(scratch.last, scratch.logits);
   return scratch.logits;
 }
 

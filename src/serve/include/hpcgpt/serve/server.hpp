@@ -182,11 +182,11 @@ struct ServerStats {
 /// pages (evicting cached prefixes under pressure, shedding requests
 /// that can never fit), and maps any cached prefix of the prompt from
 /// the radix-trie PrefixCache so only the unseen suffix is prefilled.
-/// Fresh prompts are ingested through the GEMM prefill path and their
-/// prompt pages published back into the trie; then every round advances
-/// all live lanes by one token through a single decode_step_batch call,
-/// so the weight matrices are streamed once per round instead of once
-/// per lane.
+/// Fresh prompts are ingested by one nn::Transformer::forward_ragged
+/// call each and their prompt pages published back into the trie; then
+/// every round advances all live lanes by one token through a single
+/// forward_ragged call over all of them, so the weight matrices are
+/// streamed once per round instead of once per lane.
 ///
 /// submit() takes a core::GenerationRequest and returns a future
 /// core::GenerationResult carrying text, token counts, finish reason and
@@ -380,12 +380,11 @@ class InferenceServer {
   std::size_t verify_inflight_ = 0;
   std::condition_variable verify_idle_;
 
-  // Scheduler-thread state: the shared batched-decode scratch plus the
+  // Scheduler-thread state: the decode round's forward scratch plus the
   // per-round lane gather buffers (reused so rounds stay allocation-free).
-  nn::BatchScratch batch_scratch_;
+  nn::InferenceScratch round_scratch_;
   std::vector<Stream*> round_lanes_;
-  std::vector<nn::DecodeState*> round_states_;
-  std::vector<text::TokenId> round_tokens_;
+  std::vector<nn::RaggedLane> round_inputs_;
 };
 
 }  // namespace hpcgpt::serve

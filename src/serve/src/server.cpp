@@ -467,12 +467,16 @@ void InferenceServer::prefill_stream(Stream& stream) {
   HPCGPT_TRACE_ADOPT(stream.request.trace);
   HPCGPT_TRACE("serve.prefill");
   try {
-    // Prompt ingestion: one batched GEMM pass writes the K/V rows of the
-    // non-cached suffix (state.length() positions were adopted from the
-    // prefix cache) and yields the first candidate token.
+    // Prompt ingestion: one forward over the non-cached suffix
+    // (state.length() positions were adopted from the prefix cache)
+    // writes its K/V rows and yields the first candidate token. Prefills
+    // run concurrently, so each brings its own scratch.
     const std::span<const text::TokenId> ids(stream.prompt);
-    stream.next = argmax(
-        model_.model().prefill(stream.state, ids.subspan(stream.state.length())));
+    const nn::RaggedLane lane{&stream.state,
+                              ids.subspan(stream.state.length())};
+    nn::InferenceScratch scratch;
+    stream.next =
+        argmax(model_.model().forward_ragged({&lane, 1}, scratch).row(0));
     stream.prefilled = true;
   } catch (...) {
     stream.error = std::current_exception();
@@ -643,13 +647,11 @@ void InferenceServer::scheduler_loop() {
     }
 
     round_lanes_.clear();
-    round_states_.clear();
-    round_tokens_.clear();
+    round_inputs_.clear();
     for (auto& stream : active) {
       if (stream->done || !emit_pending_token(*stream)) continue;
       round_lanes_.push_back(stream.get());
-      round_states_.push_back(&stream->state);
-      round_tokens_.push_back(stream->next);
+      round_inputs_.push_back({&stream->state, {&stream->next, 1}});
     }
     if (!round_lanes_.empty()) {
       // The decode step is shared across lanes, so the same wall-clock
@@ -662,8 +664,8 @@ void InferenceServer::scheduler_loop() {
       const double decode_start =
           any_traced ? obs::TraceSink::global().now_seconds() : 0.0;
       try {
-        const tensor::Matrix& logits = model_.model().decode_step_batch(
-            round_states_, round_tokens_, batch_scratch_);
+        const tensor::Matrix& logits =
+            model_.model().forward_ragged(round_inputs_, round_scratch_);
         for (std::size_t b = 0; b < round_lanes_.size(); ++b) {
           round_lanes_[b]->next = argmax(logits.row(b));
         }

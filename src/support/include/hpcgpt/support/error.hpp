@@ -38,4 +38,10 @@ inline void require(bool condition, const std::string& message) {
   if (!condition) throw InvalidArgument(message);
 }
 
+/// Same, for a literal message: the std::string is built only on
+/// failure, so hot-path checks (one per GEMM call) cost no allocation.
+inline void require(bool condition, const char* message) {
+  if (!condition) throw InvalidArgument(message);
+}
+
 }  // namespace hpcgpt

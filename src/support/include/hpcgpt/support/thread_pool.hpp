@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -101,9 +102,18 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body,
                   std::size_t grain = 1);
 
-/// parallel_for on the global pool.
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body,
-                  std::size_t grain = 1);
+/// parallel_for on the global pool. A range shorter than two grains
+/// never splits, so it runs inline right here, without wrapping `body`
+/// in the std::function the pool needs (which heap-allocates for most
+/// lambdas): every one-row GEMM of a decode step takes this path.
+template <class Body>
+void parallel_for(std::size_t begin, std::size_t end, const Body& body,
+                  std::size_t grain = 1) {
+  if (begin < end && end - begin < 2 * std::max<std::size_t>(1, grain)) {
+    for (std::size_t i = begin; i < end; ++i) body(i);
+    return;
+  }
+  parallel_for(ThreadPool::global(), begin, end, body, grain);
+}
 
 }  // namespace hpcgpt

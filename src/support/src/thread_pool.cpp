@@ -118,10 +118,4 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
   if (first_error) std::rethrow_exception(first_error);
 }
 
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body,
-                  std::size_t grain) {
-  parallel_for(ThreadPool::global(), begin, end, body, grain);
-}
-
 }  // namespace hpcgpt

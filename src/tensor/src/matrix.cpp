@@ -69,7 +69,10 @@ constexpr std::size_t KC = 256;
 constexpr std::size_t kSmallFlops = 32 * 32 * 32;
 
 void check_inner(std::size_t a, std::size_t b, const char* what) {
-  require(a == b, std::string("matmul: inner dimension mismatch in ") + what);
+  if (a != b) {
+    throw InvalidArgument(std::string("matmul: inner dimension mismatch in ") +
+                          what);
+  }
 }
 
 // How the B operand is laid out in memory relative to the logical

@@ -1,36 +1,60 @@
-// Decode-equivalence suite: the inference engine's fast path (GEMM
-// prefill + KV-cached decode_step / decode_step_batch) must be
-// observationally identical to the reference path that re-runs the full
-// logits() forward for every position. Greedy token-id identity is the
-// contract the serving stack depends on — a kernel or cache-layout bug
-// that shifts logits enough to flip an argmax shows up here for every
-// model preset of the experiment zoo.
+// Decode-equivalence suite: the inference engine's fast path (the KV-
+// cached Transformer::forward_ragged, one call for the prompt and one
+// per token) must be observationally identical to the reference path
+// that re-runs the full logits() forward for every position. Greedy
+// token-id identity is the contract the serving stack depends on — a
+// kernel or cache-layout bug that shifts logits enough to flip an argmax
+// shows up here for every model preset of the experiment zoo.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "hpcgpt/core/hpcgpt.hpp"
+#include "hpcgpt/support/error.hpp"
 #include "hpcgpt/support/rng.hpp"
+
+#include "forward_one.hpp"
 
 namespace {
 
 using namespace hpcgpt;
+using test_forward::forward_one;
 
 const text::BpeTokenizer& shared_tokenizer() {
   static const text::BpeTokenizer tok = core::build_shared_tokenizer();
   return tok;
 }
 
-core::HpcGpt make_preset(core::BaseModel base) {
+core::HpcGpt make_preset(
+    core::BaseModel base,
+    tensor::QuantMode quant = tensor::QuantMode::Fp32) {
   core::ModelOptions spec = core::spec_for(base);
   // Untrained weights: equivalence is a property of the forward math, not
   // of training, and skipping pretraining keeps the suite fast. Each
   // preset still gets its own init seed, so all four weight sets differ.
   spec.pretrain_steps = 0;
+  spec.quant = quant;
   return core::HpcGpt(spec, shared_tokenizer());
+}
+
+/// The preset with unmerged LoRA adapters whose B factors are non-zero,
+/// so the adapter term really changes the logits (the Table 5 (L1)/(L2)
+/// models and `train --lora` bundles serve in this state).
+core::HpcGpt make_lora_preset(core::BaseModel base) {
+  core::HpcGpt model = make_preset(base);
+  model.model().attach_lora(4, 8.0f, /*train_lora_only=*/true);
+  Rng rng(99);
+  for (nn::Parameter* p : model.model().parameters()) {
+    if (p->name.find("lora_b") != std::string::npos) {
+      p->value.randomize(rng, 0.05f);
+    }
+  }
+  return model;
 }
 
 text::TokenId argmax(std::span<const float> logits) {
@@ -65,19 +89,62 @@ std::vector<text::TokenId> greedy_reference(nn::Transformer& model,
   return out;
 }
 
-/// Engine greedy generation: one prefill over the prompt, then KV-cached
-/// decode_step per token.
+/// Engine greedy generation: one forward over the prompt, then one
+/// single-token forward per emitted token.
 std::vector<text::TokenId> greedy_engine(
     const nn::Transformer& model, const std::vector<text::TokenId>& ids,
     std::size_t steps) {
   nn::DecodeState state = model.new_decode_state();
   std::vector<text::TokenId> out;
-  text::TokenId next = argmax(model.prefill(state, ids));
+  text::TokenId next = argmax(forward_one(model, state, ids));
   for (std::size_t s = 0; s < steps; ++s) {
     out.push_back(next);
-    if (s + 1 < steps) next = argmax(model.decode_step(state, next));
+    if (s + 1 < steps) next = argmax(forward_one(model, state, next));
   }
   return out;
+}
+
+/// Four lanes with different prompts advanced together, one token each
+/// per forward_ragged call, against a twin set fed one lane per call:
+/// every lane's logits must match bit for bit at every step.
+/// Cross-request batching is a scheduling transform, not a numerics
+/// change.
+void expect_lane_count_invariant(const nn::Transformer& m,
+                                 const std::string& label) {
+  const std::size_t vocab = m.config().vocab_size;
+  Rng rng(7);
+  constexpr std::size_t kLanes = 4;
+  constexpr std::size_t kSteps = 10;
+  std::vector<nn::DecodeState> batch_states;
+  std::vector<nn::DecodeState> single_states;
+  std::vector<text::TokenId> next(kLanes);
+  for (std::size_t b = 0; b < kLanes; ++b) {
+    const auto prompt = random_prompt(rng, 2 + 3 * b, vocab);
+    batch_states.push_back(m.new_decode_state());
+    single_states.push_back(m.new_decode_state());
+    next[b] = argmax(forward_one(m, batch_states[b], prompt));
+    ASSERT_EQ(next[b], argmax(forward_one(m, single_states[b], prompt)))
+        << label << " lane " << b;
+  }
+
+  nn::InferenceScratch batch_scratch, single_scratch;
+  std::vector<nn::RaggedLane> lanes(kLanes);
+  for (std::size_t step = 0; step < kSteps; ++step) {
+    for (std::size_t b = 0; b < kLanes; ++b) {
+      lanes[b] = {&batch_states[b], {&next[b], 1}};
+    }
+    const tensor::Matrix& batched = m.forward_ragged(lanes, batch_scratch);
+    for (std::size_t b = 0; b < kLanes; ++b) {
+      const nn::RaggedLane single{&single_states[b], {&next[b], 1}};
+      const auto row = m.forward_ragged({&single, 1}, single_scratch).row(0);
+      ASSERT_EQ(0, std::memcmp(batched.row(b).data(), row.data(),
+                               vocab * sizeof(float)))
+          << label << " lane=" << b << " step=" << step;
+    }
+    for (std::size_t b = 0; b < kLanes; ++b) {
+      next[b] = argmax(batched.row(b));
+    }
+  }
 }
 
 class DecodeEquivalence
@@ -96,48 +163,97 @@ TEST_P(DecodeEquivalence, PrefillPlusDecodeMatchesFullForwards) {
 }
 
 TEST_P(DecodeEquivalence, BatchedDecodeMatchesSingleLane) {
+  core::HpcGpt fp32 = make_preset(GetParam());
+  expect_lane_count_invariant(fp32.model(), fp32.name() + " fp32");
+  core::HpcGpt int8 = make_preset(GetParam(), tensor::QuantMode::Int8);
+  expect_lane_count_invariant(int8.model(), int8.name() + " int8");
+  core::HpcGpt fp16 = make_preset(GetParam(), tensor::QuantMode::Fp16);
+  expect_lane_count_invariant(fp16.model(), fp16.name() + " fp16");
+  core::HpcGpt lora = make_lora_preset(GetParam());
+  expect_lane_count_invariant(lora.model(), lora.name() + " lora");
+}
+
+/// One call mixing a lane that ingests a 7-token chunk with lanes that
+/// decode one token each matches the same lanes fed in separate calls:
+/// same greedy ids, logits within 1e-5. Bitwise equality is not promised
+/// here — the call's row count (7 + 3) moves the fp32 projections from
+/// the small GEMM path to the blocked one, whose k-order differs.
+TEST_P(DecodeEquivalence, RaggedCallMatchesSeparateCalls) {
   core::HpcGpt model = make_preset(GetParam());
-  const std::size_t vocab = model.model().config().vocab_size;
   const nn::Transformer& m = model.model();
-  Rng rng(7);
-
-  // Four lanes with different prompts, advanced together through
-  // decode_step_batch; a twin set advanced one lane at a time through
-  // decode_step. Both must emit identical ids: cross-request batching is
-  // a scheduling transform, not a numerics change.
+  const std::size_t vocab = m.config().vocab_size;
+  Rng rng(11);
   constexpr std::size_t kLanes = 4;
-  constexpr std::size_t kSteps = 10;
-  std::vector<std::vector<text::TokenId>> prompts;
+  std::vector<nn::DecodeState> mixed_states, separate_states;
+  std::vector<std::vector<text::TokenId>> inputs;
   for (std::size_t b = 0; b < kLanes; ++b) {
-    prompts.push_back(random_prompt(rng, 2 + 3 * b, vocab));
+    const auto prompt = random_prompt(rng, 3 + 2 * b, vocab);
+    mixed_states.push_back(m.new_decode_state());
+    separate_states.push_back(m.new_decode_state());
+    (void)forward_one(m, mixed_states[b], prompt);
+    (void)forward_one(m, separate_states[b], prompt);
+    // Lane 0 ingests a chunk (a continued prompt); the others decode.
+    inputs.push_back(random_prompt(rng, b == 0 ? 7 : 1, vocab));
   }
 
-  std::vector<nn::DecodeState> batch_states;
-  std::vector<nn::DecodeState> single_states;
-  std::vector<text::TokenId> batch_next(kLanes);
-  std::vector<text::TokenId> single_next(kLanes);
+  std::vector<nn::RaggedLane> lanes;
   for (std::size_t b = 0; b < kLanes; ++b) {
-    batch_states.push_back(m.new_decode_state());
-    single_states.push_back(m.new_decode_state());
-    batch_next[b] = argmax(m.prefill(batch_states[b], prompts[b]));
-    single_next[b] = argmax(m.prefill(single_states[b], prompts[b]));
-    ASSERT_EQ(batch_next[b], single_next[b]) << "lane " << b;
+    lanes.push_back({&mixed_states[b], inputs[b]});
   }
-
-  nn::BatchScratch scratch;
-  std::vector<nn::DecodeState*> lane_ptrs;
-  for (auto& s : batch_states) lane_ptrs.push_back(&s);
-  for (std::size_t step = 0; step < kSteps; ++step) {
-    const tensor::Matrix& logits =
-        m.decode_step_batch(lane_ptrs, batch_next, scratch);
-    for (std::size_t b = 0; b < kLanes; ++b) {
-      batch_next[b] = argmax(logits.row(b));
-      single_next[b] =
-          argmax(m.decode_step(single_states[b], single_next[b]));
-      EXPECT_EQ(batch_next[b], single_next[b])
-          << model.name() << " lane=" << b << " step=" << step;
+  nn::InferenceScratch scratch;
+  const tensor::Matrix& mixed = m.forward_ragged(lanes, scratch);
+  ASSERT_EQ(mixed.rows(), kLanes);
+  for (std::size_t b = 0; b < kLanes; ++b) {
+    const std::vector<float> separate =
+        forward_one(m, separate_states[b], inputs[b]);
+    EXPECT_EQ(argmax(mixed.row(b)), argmax(separate))
+        << model.name() << " lane " << b;
+    for (std::size_t v = 0; v < vocab; ++v) {
+      ASSERT_NEAR(mixed.at(b, v), separate[v], 1e-5f)
+          << model.name() << " lane " << b << " v=" << v;
     }
+    EXPECT_EQ(mixed_states[b].length(), separate_states[b].length());
   }
+}
+
+/// A bad lane anywhere in a call — an out-of-range id, or a chunk past
+/// the context — throws a typed error before any lane's session changes:
+/// the valid lane in front of it keeps its length and its pages (it sits
+/// on a page boundary, so preparing its append would take a page).
+TEST_P(DecodeEquivalence, BadLaneThrowsBeforeAnySessionChanges) {
+  core::HpcGpt model = make_preset(GetParam());
+  const nn::Transformer& m = model.model();
+  const std::size_t vocab = m.config().vocab_size;
+  const std::size_t max_seq = m.config().max_seq;
+  Rng rng(5);
+  nn::DecodeState good = m.new_decode_state();
+  nn::DecodeState full = m.new_decode_state();
+  (void)forward_one(m, good,
+                    random_prompt(rng, nn::KvPagePool::kPageSize, vocab));
+  (void)forward_one(m, full, random_prompt(rng, max_seq - 1, vocab));
+
+  const text::TokenId ok = 5;
+  const text::TokenId out_of_range = static_cast<text::TokenId>(vocab);
+  const std::vector<text::TokenId> two{6, 7};
+  nn::InferenceScratch scratch;
+  const std::vector<std::vector<nn::RaggedLane>> bad_calls = {
+      {{&good, {&ok, 1}}, {&full, {&out_of_range, 1}}},
+      {{&good, {&ok, 1}}, {&full, two}},
+  };
+  for (const auto& lanes : bad_calls) {
+    const std::size_t good_pages = good.pages_held();
+    const std::size_t full_pages = full.pages_held();
+    EXPECT_THROW((void)m.forward_ragged(lanes, scratch), InvalidArgument)
+        << model.name();
+    EXPECT_EQ(good.length(), nn::KvPagePool::kPageSize) << model.name();
+    EXPECT_EQ(good.pages_held(), good_pages) << model.name();
+    EXPECT_EQ(full.length(), max_seq - 1) << model.name();
+    EXPECT_EQ(full.pages_held(), full_pages) << model.name();
+  }
+  // The same lanes stay usable: the last free position still decodes.
+  const nn::RaggedLane last{&full, {&ok, 1}};
+  (void)m.forward_ragged({&last, 1}, scratch);
+  EXPECT_EQ(full.length(), max_seq);
 }
 
 INSTANTIATE_TEST_SUITE_P(

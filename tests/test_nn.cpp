@@ -11,11 +11,13 @@
 #include "hpcgpt/nn/transformer.hpp"
 #include "hpcgpt/support/error.hpp"
 
+#include "forward_one.hpp"
 #include "generate_oracle.hpp"
 
 namespace hpcgpt::nn {
 namespace {
 
+using test_forward::forward_one;
 using test_oracle::generate_uncached;
 using text::TokenId;
 
@@ -364,7 +366,7 @@ TEST(DecodeCache, StepLogitsMatchFullForward) {
   const auto full = model.logits(ids);
   DecodeState state = model.new_decode_state();
   for (std::size_t t = 0; t < ids.size(); ++t) {
-    const std::span<const float> step = model.decode_step(state, ids[t]);
+    const std::vector<float> step = forward_one(model, state, ids[t]);
     ASSERT_EQ(step.size(), full.cols());
     for (std::size_t v = 0; v < step.size(); ++v) {
       EXPECT_NEAR(step[v], full.at(t, v), 1e-4f) << "t=" << t << " v=" << v;
@@ -378,14 +380,14 @@ TEST(DecodeCache, PrefillMatchesFullForward) {
   const auto ids = ids_of({1, 4, 2, 7, 3});
   const auto full = model.logits(ids);
   DecodeState state = model.new_decode_state();
-  const std::span<const float> last = model.prefill(state, ids);
+  const std::vector<float> last = forward_one(model, state, ids);
   EXPECT_EQ(state.length(), ids.size());
   ASSERT_EQ(last.size(), full.cols());
   for (std::size_t v = 0; v < last.size(); ++v) {
     EXPECT_NEAR(last[v], full.at(ids.size() - 1, v), 1e-4f) << "v=" << v;
   }
   // Decode after prefill attends over the prefilled K/V rows.
-  const std::span<const float> next = model.decode_step(state, 5);
+  const std::vector<float> next = forward_one(model, state, 5);
   auto longer = ids;
   longer.push_back(5);
   const auto full2 = model.logits(longer);
@@ -398,11 +400,11 @@ TEST(DecodeCache, PrefillInChunksMatchesSinglePrefill) {
   Transformer model(tiny_config(), 23);
   const auto ids = ids_of({2, 6, 1, 8, 4, 3});
   DecodeState whole = model.new_decode_state();
-  const std::span<const float> a = model.prefill(whole, ids);
+  const std::vector<float> a = forward_one(model, whole, ids);
   DecodeState chunked = model.new_decode_state();
-  model.prefill(chunked, std::span<const text::TokenId>(ids).subspan(0, 2));
-  const std::span<const float> b =
-      model.prefill(chunked, std::span<const text::TokenId>(ids).subspan(2));
+  forward_one(model, chunked, std::span<const TokenId>(ids).subspan(0, 2));
+  const std::vector<float> b =
+      forward_one(model, chunked, std::span<const TokenId>(ids).subspan(2));
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t v = 0; v < a.size(); ++v) {
     EXPECT_NEAR(a[v], b[v], 1e-4f) << "v=" << v;
@@ -424,8 +426,8 @@ TEST(DecodeCache, MatchesFullForwardWithLora) {
   const auto ids = ids_of({2, 9, 5, 1});
   const auto full = model.logits(ids);
   DecodeState state = model.new_decode_state();
-  std::span<const float> last;
-  for (const auto id : ids) last = model.decode_step(state, id);
+  std::vector<float> last;
+  for (const auto id : ids) last = forward_one(model, state, id);
   for (std::size_t v = 0; v < last.size(); ++v) {
     EXPECT_NEAR(last[v], full.at(ids.size() - 1, v), 1e-4f);
   }
@@ -468,8 +470,8 @@ TEST(DecodeCache, RespectsContextLimit) {
   const auto out = generate_cached(model, ids_of({1, 2, 3}), sopt);
   EXPECT_LE(3 + out.size(), 12u);
   DecodeState state = model.new_decode_state();
-  for (int i = 0; i < 12; ++i) model.decode_step(state, 1);
-  EXPECT_THROW(model.decode_step(state, 1), InvalidArgument);
+  for (int i = 0; i < 12; ++i) forward_one(model, state, 1);
+  EXPECT_THROW(forward_one(model, state, 1), InvalidArgument);
 }
 
 // ------------------------------------------------------------ checkpoint

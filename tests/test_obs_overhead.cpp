@@ -52,15 +52,20 @@ double workload_seconds() {
   for (std::size_t i = 0; i < kLanes; ++i) {
     states.push_back(model.model().new_decode_state());
   }
-  nn::BatchScratch scratch;
-  std::vector<nn::DecodeState*> lanes;
-  for (auto& s : states) lanes.push_back(&s);
-  const std::vector<text::TokenId> tokens(kLanes, 65);
+  const text::TokenId token = 65;
+  std::vector<nn::RaggedLane> prompts, steps;
+  for (auto& s : states) {
+    prompts.push_back({&s, prompt});
+    steps.push_back({&s, {&token, 1}});
+  }
+  nn::InferenceScratch prefill_scratch, round_scratch;
 
   Timer t;
-  for (auto& s : states) (void)model.model().prefill(s, prompt);
+  for (const nn::RaggedLane& lane : prompts) {
+    (void)model.model().forward_ragged({&lane, 1}, prefill_scratch);
+  }
   for (std::size_t r = 0; r < kRounds; ++r) {
-    (void)model.model().decode_step_batch(lanes, tokens, scratch);
+    (void)model.model().forward_ragged(steps, round_scratch);
   }
   return t.seconds();
 }

@@ -19,6 +19,8 @@
 #include "hpcgpt/serve/server.hpp"
 #include "hpcgpt/support/error.hpp"
 
+#include "forward_one.hpp"
+
 namespace {
 
 using namespace hpcgpt;
@@ -41,10 +43,10 @@ std::vector<text::TokenId> greedy_continue(nn::Transformer& net,
                                            std::span<const text::TokenId> prompt,
                                            std::size_t steps) {
   std::vector<text::TokenId> out;
-  text::TokenId next = argmax_token(net.prefill(session, prompt));
+  text::TokenId next = argmax_token(test_forward::forward_one(net, session, prompt));
   out.push_back(next);
   for (std::size_t s = 1; s < steps; ++s) {
-    next = argmax_token(net.decode_step(session, next));
+    next = argmax_token(test_forward::forward_one(net, session, next));
     out.push_back(next);
   }
   return out;
@@ -132,7 +134,7 @@ TEST(PagedTrie, LruEvictionReleasesPagesAndBoundsNodes) {
     std::vector<text::TokenId> prompt;
     for (int i = 0; i < 8; ++i) prompt.push_back(first + i);
     nn::DecodeState session = net.new_decode_state();
-    (void)net.prefill(session, prompt);
+    (void)test_forward::forward_one(net, session, prompt);
     cache.insert(prompt, session);
     return prompt;  // session dies; the trie's retains keep pages alive
   };

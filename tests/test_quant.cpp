@@ -24,12 +24,15 @@
 #include "hpcgpt/support/rng.hpp"
 #include "hpcgpt/tensor/quant.hpp"
 
+#include "forward_one.hpp"
+
 namespace {
 
 using namespace hpcgpt;
 using tensor::Matrix;
 using tensor::QuantizedMatrix;
 using tensor::QuantMode;
+using test_forward::forward_one;
 
 const text::BpeTokenizer& shared_tokenizer() {
   static const text::BpeTokenizer tok = core::build_shared_tokenizer();
@@ -144,9 +147,9 @@ TEST_P(QuantAccuracy, LogitErrorBoundedOnEveryPreset) {
   nn::DecodeState s32 = fp32.model().new_decode_state();
   nn::DecodeState s8 = int8.model().new_decode_state();
   nn::DecodeState s16 = fp16.model().new_decode_state();
-  const std::span<const float> l32 = fp32.model().prefill(s32, prompt);
-  const std::span<const float> l8 = int8.model().prefill(s8, prompt);
-  const std::span<const float> l16 = fp16.model().prefill(s16, prompt);
+  const std::vector<float> l32 = forward_one(fp32.model(), s32, prompt);
+  const std::vector<float> l8 = forward_one(int8.model(), s8, prompt);
+  const std::vector<float> l16 = forward_one(fp16.model(), s16, prompt);
 
   float amax = 0.0f, err8 = 0.0f, err16 = 0.0f;
   for (std::size_t v = 0; v < vocab; ++v) {
@@ -177,14 +180,14 @@ TEST(QuantAgreement, GreedyTokensAgreeAtLeast95Percent) {
     const auto prompt = random_prompt(rng, 6 + 5 * trial, vocab);
     nn::DecodeState s32 = fp32.model().new_decode_state();
     nn::DecodeState s8 = int8.model().new_decode_state();
-    text::TokenId next32 = argmax(fp32.model().prefill(s32, prompt));
-    const text::TokenId next8 = argmax(int8.model().prefill(s8, prompt));
+    text::TokenId next32 = argmax(forward_one(fp32.model(), s32, prompt));
+    const text::TokenId next8 = argmax(forward_one(int8.model(), s8, prompt));
     ++total;
     agreed += next8 == next32;
     text::TokenId forced = next32;
     for (std::size_t step = 0; step < 24; ++step) {
-      next32 = argmax(fp32.model().decode_step(s32, forced));
-      const text::TokenId got8 = argmax(int8.model().decode_step(s8, forced));
+      next32 = argmax(forward_one(fp32.model(), s32, forced));
+      const text::TokenId got8 = argmax(forward_one(int8.model(), s8, forced));
       ++total;
       agreed += got8 == next32;
       forced = next32;

@@ -77,6 +77,9 @@
 //   hpcgpt export-drb --dir DIR [--language c|fortran|both]
 //       write the DataRaceBench-style evaluation suite to disk as
 //       .c/.f90 sources plus a labels.csv (the dataset-release artifact)
+//
+// Each command accepts exactly the flags listed for it above; any other
+// --flag exits 2 naming it, before a model or dataset is loaded.
 
 #include <algorithm>
 #include <chrono>
@@ -87,9 +90,11 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "hpcgpt/analysis/service.hpp"
 #include "hpcgpt/core/evaluation.hpp"
@@ -730,31 +735,73 @@ int usage() {
   return 2;
 }
 
+/// One subcommand: its handler and every --flag it reads. parse_args
+/// accepts any flag, so main() checks them against this list before the
+/// handler runs — a misspelt or retired flag (`serve --speculate`) is a
+/// usage error, not silently ignored, and it fails before a model loads.
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  std::set<std::string> flags;
+};
+
+const std::vector<Command>& commands() {
+  // ask and serve share the --rag retrieval flags (build_rag_engine and
+  // rag_options read them).
+  static const std::vector<Command> table = {
+      {"collect", cmd_collect, {"out", "seed", "scale"}},
+      {"train",
+       cmd_train,
+       {"data", "out", "base", "lora", "epochs", "max-records", "workers",
+        "micro-batch", "pack", "trace-out"}},
+      {"ask",
+       cmd_ask,
+       {"model", "quant", "rag", "retrieval", "fusion", "rag-score",
+        "rag-top-k", "rag-min-score"}},
+      {"detect", cmd_detect, {"model"}},
+      {"eval", cmd_eval, {"model", "language", "quant"}},
+      {"serve",
+       cmd_serve,
+       {"model", "metrics", "trace-out", "quant", "batch", "max-new-tokens",
+        "window", "kv-pages", "prefix-cache", "rag", "retrieval", "fusion",
+        "rag-score", "rag-top-k", "rag-min-score", "metrics-port",
+        "slo-ttft"}},
+      {"verify-serve",
+       cmd_verify_serve,
+       {"compat", "explain", "cache", "metrics", "metrics-port"}},
+      {"top", cmd_top, {"interval", "frames", "plain"}},
+      {"obs", cmd_obs, {"model", "question", "compact", "format"}},
+      {"export-drb", cmd_export_drb, {"dir", "language"}},
+  };
+  return table;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
   const Args args = parse_args(argc, argv, 2);
-  try {
-    if (command == "collect") return cmd_collect(args);
-    if (command == "train") return cmd_train(args);
-    if (command == "ask") return cmd_ask(args);
-    if (command == "detect") return cmd_detect(args);
-    if (command == "eval") return cmd_eval(args);
-    if (command == "serve") return cmd_serve(args);
-    if (command == "verify-serve") return cmd_verify_serve(args);
-    if (command == "top") return cmd_top(args);
-    if (command == "obs") return cmd_obs(args);
-    if (command == "export-drb") return cmd_export_drb(args);
-    return usage();
-  } catch (const Error& e) {
-    std::fprintf(stderr, "hpcgpt: %s\n", e.what());
-    return 1;
-  } catch (const std::exception& e) {
-    // Library-level validation (e.g. retrieval::engine_by_name on a bad
-    // --retrieval value) throws std::invalid_argument, not hpcgpt::Error.
-    std::fprintf(stderr, "hpcgpt: %s\n", e.what());
-    return 1;
+  for (const Command& c : commands()) {
+    if (command != c.name) continue;
+    for (const auto& [flag, value] : args.options) {
+      if (c.flags.count(flag) == 0) {
+        std::fprintf(stderr, "hpcgpt %s: unknown flag --%s\n", c.name,
+                     flag.c_str());
+        return usage();
+      }
+    }
+    try {
+      return c.run(args);
+    } catch (const Error& e) {
+      std::fprintf(stderr, "hpcgpt: %s\n", e.what());
+      return 1;
+    } catch (const std::exception& e) {
+      // Library-level validation (e.g. retrieval::engine_by_name on a bad
+      // --retrieval value) throws std::invalid_argument, not hpcgpt::Error.
+      std::fprintf(stderr, "hpcgpt: %s\n", e.what());
+      return 1;
+    }
   }
+  return usage();
 }
