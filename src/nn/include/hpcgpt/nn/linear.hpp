@@ -48,6 +48,14 @@ class Linear {
   /// per prompt. `y` keeps its storage when its shape already matches.
   void apply_rows(const tensor::Matrix& x, tensor::Matrix& y) const;
 
+  /// apply_rows with the rows of `x` already quantized into `qx`: an int8
+  /// layer reads `qx` instead of quantizing `x` again, any other layer
+  /// reads `x`. Bitwise equal to apply_rows(x, y).
+  void apply_rows(const tensor::Matrix& x, const tensor::QuantizedRows& qx,
+                  tensor::Matrix& y) const;
+
+  tensor::QuantMode quant_mode() const { return qmode_; }
+
   void collect_parameters(ParameterList& out);
 
   /// Repacks W into `mode` storage (int8 per-output-channel or fp16) and

@@ -41,7 +41,8 @@ struct InferenceScratch {
   tensor::Matrix up;      // SwiGLU up lanes          (rows × d_ff)
   tensor::Matrix last;    // final-normed last row of each lane (lanes × d_model)
   tensor::Matrix logits;  // head output              (lanes × vocab)
-  std::vector<float> probs;  // attention weights, one row at a time
+  tensor::QuantizedRows qnormed;  // int8 models: `normed`, quantized once
+  std::vector<float> probs;  // attention weights: one max_seq row per head
 
   void ensure(const TransformerConfig& config, std::size_t rows,
               std::size_t lanes);
@@ -145,8 +146,13 @@ class TransformerBlock {
   /// each lane's new K/V rows are written into its pages for this block
   /// (`layer`), page-run at a time, and each row attends over its own
   /// session up to its own position. The pages must already be writable
-  /// (DecodeState::prepare_append). Const and cache-free, so concurrent
-  /// calls with distinct sessions and scratches may share the block.
+  /// (DecodeState::prepare_append). A lane of 16 rows or more spreads
+  /// over the global pool: its causal attention runs one head per task,
+  /// and the call runs wq/wk/wv as one 3-task region and w_gate/w_up as
+  /// one 2-task region; results are bitwise those of the serial path,
+  /// which shorter lanes (decode steps) keep. Const and cache-free, so
+  /// concurrent calls with distinct sessions and scratches may share the
+  /// block.
   void forward_ragged(tensor::Matrix& x, std::span<const RaggedLane> lanes,
                       std::size_t layer, InferenceScratch& scratch) const;
 

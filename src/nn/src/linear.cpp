@@ -113,6 +113,16 @@ void Linear::apply_rows(const Matrix& x, Matrix& y) const {
   }
 }
 
+void Linear::apply_rows(const Matrix& x, const tensor::QuantizedRows& qx,
+                        Matrix& y) const {
+  if (qmode_ == tensor::QuantMode::Int8) {
+    require(qx.rows() == x.rows(), "Linear::apply_rows: stale quantized rows");
+    qweight_.matmul(qx, y);
+    return;
+  }
+  apply_rows(x, y);
+}
+
 void Linear::merge_lora() {
   if (lora_rank_ == 0) return;
   Matrix product(in_features(), out_features());

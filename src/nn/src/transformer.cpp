@@ -8,6 +8,7 @@
 #include "hpcgpt/obs/trace.hpp"
 #include "hpcgpt/support/error.hpp"
 #include "hpcgpt/support/fastmath.hpp"
+#include "hpcgpt/support/thread_pool.hpp"
 #include "hpcgpt/support/timer.hpp"
 #include "hpcgpt/tensor/kernels.hpp"
 
@@ -373,6 +374,32 @@ void rmsnorm_rows(const hpcgpt::nn::Parameter& gain, const Matrix& x,
   }
 }
 
+// A lane of at least this many rows spreads its block across the pool:
+// causal attention runs one head per task, and the call's sibling
+// projections run as pool regions. Below it — decode steps, short
+// chunks — a task's work does not pay for waking a worker.
+constexpr std::size_t kSpreadRows = 16;
+
+/// Runs task(0), ..., task(n-1): as one pool region when `spread`, else in
+/// order on the calling thread. Each pooled task adopts the caller's
+/// trace context, so the spans it opens (tensor.gemm) nest under the
+/// caller's nn.prefill on whichever thread runs it.
+template <class Task>
+void fan_out(bool spread, std::size_t n, const Task& task) {
+  if (!spread) {
+    for (std::size_t i = 0; i < n; ++i) task(i);
+    return;
+  }
+  const obs::TraceContext trace = obs::current_trace_context();
+  parallel_for(
+      0, n,
+      [&](std::size_t i) {
+        HPCGPT_TRACE_ADOPT(trace);
+        task(i);
+      },
+      1);
+}
+
 }  // namespace
 
 void TransformerBlock::forward_ragged(Matrix& x,
@@ -384,15 +411,26 @@ void TransformerBlock::forward_ragged(Matrix& x,
   const std::size_t hd = config_.head_dim();
   const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
   const tensor::kernels::KernelTable& kt = tensor::kernels::active();
+  bool spread = false;
+  for (const RaggedLane& lane : lanes) {
+    spread = spread || lane.ids.size() >= kSpreadRows;
+  }
+  // int8 layers share one quantization of the normed rows per sub-layer
+  // (wq/wk/wv, then w_gate/w_up) instead of one per projection.
+  const bool int8 = wq_.quant_mode() == tensor::QuantMode::Int8;
 
   // --- attention sub-layer ---
   // The projections run once over every row of every lane: one GEMM per
   // weight, so each weight matrix streams through the cache once per
-  // call rather than once per lane or per token.
+  // call rather than once per lane or per token. A long lane runs the
+  // three as one pool region, each GEMM whole on its own core.
   rmsnorm_rows(norm1_gain_, x, scratch.normed);
-  wq_.apply_rows(scratch.normed, scratch.q);
-  wk_.apply_rows(scratch.normed, scratch.k_new);
-  wv_.apply_rows(scratch.normed, scratch.v_new);
+  if (int8) scratch.qnormed.quantize(scratch.normed);
+  const Linear* const qkv[] = {&wq_, &wk_, &wv_};
+  Matrix* const qkv_out[] = {&scratch.q, &scratch.k_new, &scratch.v_new};
+  fan_out(spread, 3, [&](std::size_t i) {
+    qkv[i]->apply_rows(scratch.normed, scratch.qnormed, *qkv_out[i]);
+  });
 
   // Attention is per lane: every lane attends over its own page table.
   std::size_t row0 = 0;
@@ -423,20 +461,21 @@ void TransformerBlock::forward_ragged(Matrix& x,
     // stride over positions through the ISA-dispatched kernels. (Per-head
     // GEMMs and 4-wide feature unrolling both measured slower at these
     // shapes: the horizons are short, so dispatch and packing dominate.)
-    float* __restrict probs = scratch.probs.data();
-    for (std::size_t t = 0; t < n; ++t) {
-      const std::size_t len = pos0 + t + 1;
-      const float* q = scratch.q.row(row0 + t).data();
-      float* attn = scratch.attn.row(row0 + t).data();
-      for (std::size_t h = 0; h < config_.n_heads; ++h) {
-        const std::size_t off = h * hd;
-        kt.attn_scores_paged(q + off, scale, pages, off * kPage, hd, len,
-                             probs);
+    // Heads are independent and each walks its rows in order with its own
+    // probs row, so a long lane runs one head per pool task with every
+    // (row, head) result bitwise what the serial loop gives.
+    fan_out(n >= kSpreadRows, config_.n_heads, [&](std::size_t h) {
+      const std::size_t off = h * hd;
+      float* __restrict probs = scratch.probs.data() + h * config_.max_seq;
+      for (std::size_t t = 0; t < n; ++t) {
+        const std::size_t len = pos0 + t + 1;
+        kt.attn_scores_paged(scratch.q.row(row0 + t).data() + off, scale,
+                             pages, off * kPage, hd, len, probs);
         const float inv = kt.softmax_row(probs, len);
         kt.attn_values_paged(probs, inv, pages, d * kPage + off * kPage, hd,
-                             len, attn + off);
+                             len, scratch.attn.row(row0 + t).data() + off);
       }
-    }
+    });
     row0 += n;
   }
   wo_.apply_rows(scratch.attn, scratch.proj);
@@ -444,8 +483,12 @@ void TransformerBlock::forward_ragged(Matrix& x,
 
   // --- MLP sub-layer (SwiGLU) ---
   rmsnorm_rows(norm2_gain_, x, scratch.normed);
-  w_gate_.apply_rows(scratch.normed, scratch.gate);
-  w_up_.apply_rows(scratch.normed, scratch.up);
+  if (int8) scratch.qnormed.quantize(scratch.normed);
+  const Linear* const gate_up[] = {&w_gate_, &w_up_};
+  Matrix* const gate_up_out[] = {&scratch.gate, &scratch.up};
+  fan_out(spread, 2, [&](std::size_t i) {
+    gate_up[i]->apply_rows(scratch.normed, scratch.qnormed, *gate_up_out[i]);
+  });
   for (std::size_t r = 0; r < x.rows(); ++r) {
     kt.silu_mul(scratch.gate.row(r).data(), scratch.up.row(r).data(),
                 config_.d_ff);
@@ -467,7 +510,8 @@ void InferenceScratch::ensure(const TransformerConfig& config,
   if (last.rows() != lanes || last.cols() != config.d_model) {
     last = Matrix(lanes, config.d_model);
   }
-  if (probs.size() < config.max_seq) probs.assign(config.max_seq, 0.0f);
+  const std::size_t probs_size = config.n_heads * config.max_seq;
+  if (probs.size() < probs_size) probs.assign(probs_size, 0.0f);
 }
 
 // ===================================================== DecodeState

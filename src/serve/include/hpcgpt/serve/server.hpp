@@ -383,6 +383,7 @@ class InferenceServer {
   // Scheduler-thread state: the decode round's forward scratch plus the
   // per-round lane gather buffers (reused so rounds stay allocation-free).
   nn::InferenceScratch round_scratch_;
+  std::vector<Stream*> round_prefills_;
   std::vector<Stream*> round_lanes_;
   std::vector<nn::RaggedLane> round_inputs_;
 };

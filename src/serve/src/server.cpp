@@ -618,17 +618,21 @@ void InferenceServer::scheduler_loop() {
     // the GEMM prefill (independent sessions over read-only weights, so
     // they can run in parallel; GEMMs inside nest safely thanks to the
     // pool's run-inline-on-worker guard), then every live lane advances
-    // one token through a single cross-request batched decode step.
+    // one token through a single cross-request batched decode step. The
+    // region spans only the streams that still need a prefill: a round
+    // with none forks nothing, and a lone prefill runs here on the
+    // scheduler, where its own forward can spread over the pool.
     HPCGPT_TRACE("serve.round");
     Timer round_timer;
+    round_prefills_.clear();
+    for (auto& stream : active) {
+      if (!stream->prefilled && !stream->done) {
+        round_prefills_.push_back(stream.get());
+      }
+    }
     parallel_for(
-        0, active.size(),
-        [&](std::size_t i) {
-          if (!active[i]->prefilled && !active[i]->done) {
-            prefill_stream(*active[i]);
-          }
-        },
-        1);
+        0, round_prefills_.size(),
+        [&](std::size_t i) { prefill_stream(*round_prefills_[i]); }, 1);
 
     // Publish freshly prefilled prompts into the prefix cache (scheduler
     // thread only — the trie is not thread-safe). At this point the

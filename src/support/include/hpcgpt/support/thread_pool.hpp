@@ -96,6 +96,11 @@ class ParallelInlineGuard {
 /// produces (tensor rows, test cases). `grain` bounds the minimum chunk so
 /// tiny ranges run inline without synchronization cost.
 ///
+/// The calling thread runs chunk 0 itself and submits only the rest, so
+/// a region of n chunks wakes n-1 workers. Inside its chunk the caller is
+/// under a ParallelInlineGuard: a parallel_for nested there runs inline
+/// on the caller, as it would on a worker.
+///
 /// Safe to call from inside a task running on `pool`: a nested call runs
 /// the whole range inline on the calling worker (never self-deadlocks).
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,

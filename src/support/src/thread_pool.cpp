@@ -97,22 +97,32 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
   std::atomic<bool> failed{false};
   std::exception_ptr first_error;
   std::mutex error_mutex;
-  std::vector<std::future<void>> pending;
-  pending.reserve(chunks);
-
   const std::size_t per_chunk = (total + chunks - 1) / chunks;
-  for (std::size_t c = 0; c < chunks; ++c) {
+  auto run_chunk = [&](std::size_t lo, std::size_t hi) {
+    try {
+      for (std::size_t i = lo; i < hi && !failed.load(); ++i) body(i);
+    } catch (...) {
+      std::lock_guard lock(error_mutex);
+      if (!failed.exchange(true)) first_error = std::current_exception();
+    }
+  };
+
+  // Chunks 1.. go to the pool; chunk 0 runs right here. The caller would
+  // otherwise sit idle in the wait below, and its chunk starts without
+  // the wake-up latency a sleeping worker pays.
+  std::vector<std::future<void>> pending;
+  pending.reserve(chunks - 1);
+  for (std::size_t c = 1; c < chunks; ++c) {
     const std::size_t lo = begin + c * per_chunk;
     const std::size_t hi = std::min(end, lo + per_chunk);
     if (lo >= hi) break;
-    pending.push_back(pool.submit([&, lo, hi] {
-      try {
-        for (std::size_t i = lo; i < hi && !failed.load(); ++i) body(i);
-      } catch (...) {
-        std::lock_guard lock(error_mutex);
-        if (!failed.exchange(true)) first_error = std::current_exception();
-      }
-    }));
+    pending.push_back(pool.submit([&, lo, hi] { run_chunk(lo, hi); }));
+  }
+  {
+    // The caller's chunk follows the workers' rule for nested regions:
+    // they run inline, so it never waits on tasks queued behind its own.
+    ParallelInlineGuard guard;
+    run_chunk(begin, std::min(end, begin + per_chunk));
   }
   for (auto& f : pending) f.wait();
   if (first_error) std::rethrow_exception(first_error);

@@ -62,6 +62,14 @@ class Matrix {
   std::vector<float> data_;
 };
 
+/// The tensor kernels' parallel grain, sized by work: the number of
+/// items (row blocks, rows) one parallel_for chunk takes so that it
+/// carries at least 2^20 FLOP when each item costs `item_flops`. Waking a
+/// sleeping pool worker and joining it costs ≈15–25 µs on a 4-vCPU host,
+/// about what one core spends on 2^20 FLOP of fp32 GEMM, so smaller
+/// chunks lose more to the fork-join than the extra core gains.
+std::size_t work_grain(std::size_t item_flops);
+
 /// out = a · b. Shapes: (m×k)·(k×n) → (m×n). Parallel over row blocks of
 /// `a` via the global thread pool. Large shapes run a cache-blocked
 /// kernel: B is packed once into NR-wide column panels, then an MR×NR

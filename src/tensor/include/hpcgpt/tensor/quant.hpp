@@ -18,6 +18,31 @@ enum class QuantMode : std::uint8_t { Fp32 = 0, Fp16 = 1, Int8 = 2 };
 const char* quant_mode_name(QuantMode mode);
 std::optional<QuantMode> parse_quant_mode(std::string_view name);
 
+/// Activation rows quantized once for int8 matmuls: row r holds
+/// kernels::quantize_row_i8 of x.row(r), zero-padded to the int8 kernels'
+/// 16-element chunk. Sibling projections that read the same rows (wq/wk/wv,
+/// w_gate/w_up) share one of these instead of each quantizing every row
+/// again; since the quantizer depends on the row alone, the result is
+/// bitwise that of QuantizedMatrix::matmul(x, ·).
+class QuantizedRows {
+ public:
+  /// Quantizes every row of `x`; keeps the storage when shapes repeat.
+  void quantize(const Matrix& x);
+
+  std::size_t rows() const { return scale_.size(); }
+  std::size_t cols() const { return cols_; }  ///< logical width of x
+  const std::int8_t* row(std::size_t r) const {
+    return q_.data() + r * padded_;
+  }
+  float scale(std::size_t r) const { return scale_[r]; }
+
+ private:
+  std::size_t cols_ = 0;
+  std::size_t padded_ = 0;
+  std::vector<std::int8_t> q_;  // rows × padded_
+  std::vector<float> scale_;
+};
+
 /// A weight matrix packed for the quantized GEMV/GEMM kernels.
 ///
 /// The logical shape matches the fp32 weight it was quantized from: an
@@ -68,14 +93,21 @@ class QuantizedMatrix {
   void gemv_prequant(const std::int8_t* qx, float xscale,
                      std::span<float> y) const;
 
-  /// out = x·W row-wise (x: m×in → out: m×out), parallel over rows.
-  /// Resizes `out` as needed.
+  /// out = x·W row-wise (x: m×in → out: m×out), parallel over rows in
+  /// work-sized chunks (tensor::work_grain). Resizes `out` as needed.
   void matmul(const Matrix& x, Matrix& out) const;
+
+  /// Int8 only: matmul over rows already quantized by QuantizedRows
+  /// (cols() must equal rows()); bitwise equal to matmul(x, out).
+  void matmul(const QuantizedRows& x, Matrix& out) const;
 
   /// Per-output-channel dequantization scales (Int8 only; empty for Fp16).
   std::span<const float> scales() const { return scale_; }
 
  private:
+  /// Rows per parallel chunk of matmul (tensor::work_grain).
+  std::size_t row_grain() const;
+
   std::size_t rows_ = 0;       // logical in
   std::size_t cols_ = 0;       // logical out
   std::size_t in_padded_ = 0;  // packed row length

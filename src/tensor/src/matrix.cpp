@@ -154,7 +154,9 @@ inline void micro_tile(const AGet& aget, std::size_t i0, std::size_t mr,
 /// Blocked driver shared by all three GEMM variants: B is packed once
 /// into NR-wide panels, then a parallel_for over MR-row blocks runs the
 /// register-tiled micro-kernel with a KC-deep k loop. `aget(i, k)` reads
-/// logical A(i, k) (i indexes output rows).
+/// logical A(i, k) (i indexes output rows). With the work-sized grain,
+/// prefill-shaped GEMMs (173×48×96 ≈ 1.6 MFLOP) run inline while 128³
+/// (4.2 MFLOP) splits four ways.
 template <bool Accumulate, class AGet>
 void gemm_blocked(const AGet& aget, std::size_t m, std::size_t k_dim,
                   std::size_t n, const std::vector<float>& packed,
@@ -179,7 +181,7 @@ void gemm_blocked(const AGet& aget, std::size_t m, std::size_t k_dim,
         micro_tile(aget, i0, mr, panel, k0, k1, out, j0, width);
       }
     }
-  }, std::max<std::size_t>(1, kRowGrain / MR));
+  }, work_grain(2 * MR * k_dim * n));
 }
 
 template <bool Accumulate>
@@ -355,6 +357,12 @@ void count_gemm(std::size_t m, std::size_t k_dim, std::size_t n) {
 }
 
 }  // namespace
+
+std::size_t work_grain(std::size_t item_flops) {
+  constexpr std::size_t kChunkFlops = std::size_t{1} << 20;
+  item_flops = std::max<std::size_t>(1, item_flops);
+  return (kChunkFlops + item_flops - 1) / item_flops;
+}
 
 // GEMM tracing: only multi-row (prefill/training-shaped, m >= 16) calls
 // get spans — per-token decode GEMMs fire thousands of times per second

@@ -13,7 +13,6 @@ namespace hpcgpt::tensor {
 namespace {
 
 constexpr std::size_t kInt8Pad = 16;  // int8 kernels consume 4-row quads
-constexpr std::size_t kRowGrain = 16;
 
 std::size_t pad_to(std::size_t n, std::size_t unit) {
   return (n + unit - 1) / unit * unit;
@@ -157,6 +156,40 @@ void QuantizedMatrix::gemv_prequant(const std::int8_t* qx, float xscale,
                             xscale, in_padded_, cols_, y.data());
 }
 
+std::size_t QuantizedMatrix::row_grain() const {
+  // One row costs 2·in·out FLOP. The int8 dot-product kernels retire
+  // about four times the fp32 GEMM's FLOP per core (a 128³ int8 matmul
+  // takes ≈32 µs on one core), so an int8 row counts as a quarter of
+  // that: the 128³ int8 matmul and every prefill-shaped one run inline,
+  // where splitting them measured no faster. fp16 runs at about the
+  // fp32 rate and counts in full.
+  const std::size_t flops = 2 * rows_ * cols_;
+  return work_grain(mode_ == QuantMode::Int8 ? flops / 4 : flops);
+}
+
+void QuantizedRows::quantize(const Matrix& x) {
+  cols_ = x.cols();
+  padded_ = pad_to(cols_, kInt8Pad);
+  q_.resize(x.rows() * padded_);
+  scale_.resize(x.rows());
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    scale_[r] = kernels::quantize_row_i8(x.row(r).data(), cols_, padded_,
+                                         q_.data() + r * padded_);
+  }
+}
+
+void QuantizedMatrix::matmul(const QuantizedRows& x, Matrix& out) const {
+  require(mode_ == QuantMode::Int8 && x.cols() == rows_,
+          "QuantizedMatrix::matmul: int8 matrix of the rows' width required");
+  if (out.rows() != x.rows() || out.cols() != cols_) {
+    out = Matrix(x.rows(), cols_);
+  }
+  parallel_for(
+      0, x.rows(),
+      [&](std::size_t r) { gemv_prequant(x.row(r), x.scale(r), out.row(r)); },
+      row_grain());
+}
+
 void QuantizedMatrix::matmul(const Matrix& x, Matrix& out) const {
   require(x.cols() == rows_, "QuantizedMatrix::matmul: shape mismatch");
   if (out.rows() != x.rows() || out.cols() != cols_) {
@@ -164,7 +197,7 @@ void QuantizedMatrix::matmul(const Matrix& x, Matrix& out) const {
   }
   parallel_for(
       0, x.rows(),
-      [&](std::size_t r) { gemv(x.row(r), out.row(r)); }, kRowGrain);
+      [&](std::size_t r) { gemv(x.row(r), out.row(r)); }, row_grain());
 }
 
 }  // namespace hpcgpt::tensor

@@ -17,6 +17,7 @@
 #include "hpcgpt/core/hpcgpt.hpp"
 #include "hpcgpt/support/error.hpp"
 #include "hpcgpt/support/rng.hpp"
+#include "hpcgpt/support/thread_pool.hpp"
 
 #include "forward_one.hpp"
 
@@ -254,6 +255,61 @@ TEST_P(DecodeEquivalence, BadLaneThrowsBeforeAnySessionChanges) {
   const nn::RaggedLane last{&full, {&ok, 1}};
   (void)m.forward_ragged({&last, 1}, scratch);
   EXPECT_EQ(full.length(), max_seq);
+}
+
+/// Prefills `prompt` into a fresh session and returns the logits plus
+/// every layer's cached K/V slots for the prompt's positions, in page
+/// order (each page holds its K slab, then its V slab).
+std::vector<float> prefill_snapshot(const nn::Transformer& m,
+                                    const std::vector<text::TokenId>& prompt) {
+  constexpr std::size_t kPage = nn::KvPagePool::kPageSize;
+  nn::DecodeState state = m.new_decode_state();
+  std::vector<float> out = forward_one(m, state, prompt);
+  const std::size_t d = m.config().d_model;
+  for (std::size_t l = 0; l < m.config().n_layers; ++l) {
+    const auto pages = state.layer_pages(l);
+    for (std::size_t p = 0; p < pages.size(); ++p) {
+      const float* page = state.pool().data(pages[p]);
+      const std::size_t filled = std::min(kPage, prompt.size() - p * kPage);
+      // Feature-major slabs: only the first `filled` slots of each
+      // feature row hold this prompt's positions.
+      for (std::size_t slab = 0; slab < 2 * d; ++slab) {
+        out.insert(out.end(), page + slab * kPage,
+                   page + slab * kPage + filled);
+      }
+    }
+  }
+  return out;
+}
+
+/// A long prompt prefilled on the pool (head-parallel attention, grouped
+/// projections) leaves the same logits and the same K/V pages, bit for
+/// bit, as the same prompt prefilled with every parallel region inline.
+void expect_pool_prefill_matches_inline(const nn::Transformer& m,
+                                        const std::string& label) {
+  Rng rng(31);
+  const auto prompt = random_prompt(rng, 117, m.config().vocab_size);
+  const std::vector<float> pooled = prefill_snapshot(m, prompt);
+  std::vector<float> inline_run;
+  {
+    ParallelInlineGuard guard;
+    inline_run = prefill_snapshot(m, prompt);
+  }
+  ASSERT_EQ(pooled.size(), inline_run.size()) << label;
+  EXPECT_EQ(0, std::memcmp(pooled.data(), inline_run.data(),
+                           pooled.size() * sizeof(float)))
+      << label;
+}
+
+TEST_P(DecodeEquivalence, PoolPrefillMatchesInlinePrefill) {
+  core::HpcGpt fp32 = make_preset(GetParam());
+  expect_pool_prefill_matches_inline(fp32.model(), fp32.name() + " fp32");
+  core::HpcGpt int8 = make_preset(GetParam(), tensor::QuantMode::Int8);
+  expect_pool_prefill_matches_inline(int8.model(), int8.name() + " int8");
+  core::HpcGpt fp16 = make_preset(GetParam(), tensor::QuantMode::Fp16);
+  expect_pool_prefill_matches_inline(fp16.model(), fp16.name() + " fp16");
+  core::HpcGpt lora = make_lora_preset(GetParam());
+  expect_pool_prefill_matches_inline(lora.model(), lora.name() + " lora");
 }
 
 INSTANTIATE_TEST_SUITE_P(

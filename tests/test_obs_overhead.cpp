@@ -78,12 +78,13 @@ double best_seconds(int reps) {
 
 TEST(ObsOverhead, TracingStaysWithinFivePercentOfDisabled) {
   // Under TSan the relaxed atomics inside the span layer become runtime
-  // interceptor calls, which dwarfs the real overhead (~20% observed) —
-  // that lane is for the race check, not the timing budget.
-#if defined(__SANITIZE_THREAD__)
+  // interceptor calls, which dwarfs the real overhead (~20% observed);
+  // ASan's shadow checks skew the ratio too. Sanitizer lanes are for the
+  // race and memory checks, not the timing budget.
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
   GTEST_SKIP() << "sanitizer build: timing guard is not meaningful";
 #elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
+#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
   GTEST_SKIP() << "sanitizer build: timing guard is not meaningful";
 #endif
 #endif
@@ -116,10 +117,10 @@ TEST(ObsOverhead, CollectorAndScraperStayWithinFivePercent) {
   // identical 5% budget of the loop running bare. The telemetry path is
   // pull-based by design — ticks and scrapes read snapshots off the hot
   // path — so its cost must not scale with decode throughput.
-#if defined(__SANITIZE_THREAD__)
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
   GTEST_SKIP() << "sanitizer build: timing guard is not meaningful";
 #elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
+#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
   GTEST_SKIP() << "sanitizer build: timing guard is not meaningful";
 #endif
 #endif

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "hpcgpt/support/error.hpp"
@@ -219,6 +220,64 @@ TEST(ParallelFor, PropagatesException) {
                               if (i == 37) throw ParseError("inner");
                             }),
                ParseError);
+}
+
+// The caller runs chunk 0 of a region itself: with 4 chunks over [0, 8)
+// that is indices 0 and 1; index 7 sits in the last chunk, on a worker.
+TEST(ParallelFor, ExceptionInCallersChunkPropagates) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> thrown_on_caller{false};
+  EXPECT_THROW(parallel_for(pool, 0, 8,
+                            [&](std::size_t i) {
+                              if (i == 0) {
+                                thrown_on_caller =
+                                    std::this_thread::get_id() == caller;
+                                throw ParseError("caller chunk");
+                              }
+                            }),
+               ParseError);
+  EXPECT_TRUE(thrown_on_caller.load());
+}
+
+TEST(ParallelFor, ExceptionInWorkersChunkPropagates) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> thrown_on_worker{false};
+  EXPECT_THROW(parallel_for(pool, 0, 8,
+                            [&](std::size_t i) {
+                              if (i == 7) {
+                                thrown_on_worker =
+                                    std::this_thread::get_id() != caller;
+                                throw InvalidArgument("worker chunk");
+                              }
+                            }),
+               InvalidArgument);
+  EXPECT_TRUE(thrown_on_worker.load());
+}
+
+TEST(ParallelFor, NestedCallInCallersChunkRunsInlineOnCaller) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> chunk0_on_caller{false};
+  std::atomic<bool> guard_active{false};
+  std::atomic<int> nested_off_caller{0};
+  std::atomic<int> nested_total{0};
+  parallel_for(pool, 0, 8, [&](std::size_t i) {
+    if (i != 0) return;
+    chunk0_on_caller = std::this_thread::get_id() == caller;
+    guard_active = ThreadPool::inline_region_active();
+    parallel_for(pool, 0, 64, [&](std::size_t) {
+      nested_total.fetch_add(1);
+      if (std::this_thread::get_id() != caller) nested_off_caller.fetch_add(1);
+    });
+  });
+  EXPECT_TRUE(chunk0_on_caller.load());
+  EXPECT_TRUE(guard_active.load());
+  EXPECT_EQ(nested_total.load(), 64);
+  EXPECT_EQ(nested_off_caller.load(), 0);
+  // The guard ends with the region: the caller is back to normal.
+  EXPECT_FALSE(ThreadPool::inline_region_active());
 }
 
 TEST(ParallelFor, NestedCallFromPoolWorkerNeverSelfDeadlocks) {

@@ -610,6 +610,12 @@ TEST(Telemetry, ScrapeRacesServerShutdown) {
     }
   });
 
+  // Hold shutdown until the scraper has an answer in hand: four short
+  // requests can otherwise all finish before its first scrape does, and
+  // the race below would never start.
+  while (scrapes.load() == 0 && failures.load() == 0) {
+    std::this_thread::yield();
+  }
   for (auto& r : results) r.get();
   server.shutdown();  // races the scraper by construction
   stop.store(true);

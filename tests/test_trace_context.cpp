@@ -238,6 +238,47 @@ TEST(TraceServe, RequestSpansShareTraceIdAndNestInPerfettoExport) {
   }
 }
 
+// A long prefill runs its projections as pool tasks; each task adopts the
+// caller's trace context, so every tensor.gemm span of the forward parents
+// on its nn.prefill span whichever thread ran the GEMM.
+#if !defined(HPCGPT_OBS_DISABLED)
+TEST(TracePrefill, GemmSpansNestUnderPrefillAcrossPoolTasks) {
+  const nn::Transformer& m = shared_model().model();
+  obs::TraceSink& sink = obs::TraceSink::global();
+  sink.set_capacity(1 << 14);
+  sink.clear();
+  sink.enable(true);
+  {
+    std::vector<text::TokenId> prompt(100);
+    for (std::size_t i = 0; i < prompt.size(); ++i) {
+      prompt[i] = static_cast<text::TokenId>(
+          4 + i % (m.config().vocab_size - 4));
+    }
+    nn::DecodeState state = m.new_decode_state();
+    nn::InferenceScratch scratch;
+    const nn::RaggedLane lane{&state, prompt};
+    (void)m.forward_ragged({&lane, 1}, scratch);
+  }
+  sink.enable(false);
+  const std::vector<obs::TraceEvent> events = sink.events();
+  sink.clear();
+  sink.set_capacity(4096);  // restore the default for later tests
+
+  std::vector<const obs::TraceEvent*> prefills, gemms;
+  for (const obs::TraceEvent& e : events) {
+    if (e.name == "nn.prefill") prefills.push_back(&e);
+    if (e.name == "tensor.gemm") gemms.push_back(&e);
+  }
+  ASSERT_EQ(prefills.size(), 1u);
+  // Seven 100-row projections per block (the one-row head is untraced).
+  EXPECT_EQ(gemms.size(), 7 * m.config().n_layers);
+  for (const obs::TraceEvent* g : gemms) {
+    EXPECT_EQ(g->parent_id, prefills[0]->span_id);
+    EXPECT_EQ(g->trace_id, prefills[0]->trace_id);
+  }
+}
+#endif
+
 // --- End-to-end acceptance: training -------------------------------------
 
 #if !defined(HPCGPT_OBS_DISABLED)

@@ -13,7 +13,7 @@
 //   --quiet     print verdict lines only, not individual diagnostics
 //
 // Exit status: 0 when no file had errors, 1 when at least one did,
-// 2 on usage errors.
+// 2 on usage errors (an unknown flag among them).
 
 #include <cstdio>
 #include <fstream>
@@ -45,7 +45,14 @@ bool is_boolean_flag(const std::string& name) {
   return name == "compat" || name == "quiet";
 }
 
-Args parse_args(int argc, char** argv) {
+bool is_known_flag(const std::string& name) {
+  return is_boolean_flag(name) || name == "drb" || name == "count" ||
+         name == "seed";
+}
+
+/// Parses argv; an unknown flag is reported by name in `unknown` before
+/// it can take the next token as its value.
+Args parse_args(int argc, char** argv, std::string& unknown) {
   Args args;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -55,7 +62,11 @@ Args parse_args(int argc, char** argv) {
     }
     std::string name = a.substr(2);
     const std::size_t eq = name.find('=');
-    if (eq != std::string::npos) {  // --key=value works for any option
+    if (!is_known_flag(name.substr(0, eq))) {
+      unknown = name.substr(0, eq);
+      return args;
+    }
+    if (eq != std::string::npos) {  // --key=value works for every flag
       args.options[name.substr(0, eq)] = name.substr(eq + 1);
     } else if (is_boolean_flag(name)) {
       args.options[name] = "1";
@@ -137,7 +148,12 @@ int usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse_args(argc, argv);
+  std::string unknown;
+  const Args args = parse_args(argc, argv, unknown);
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "hpcgpt_lint: unknown flag --%s\n", unknown.c_str());
+    return usage();
+  }
   analysis::VerifierOptions options;
   if (opt(args, "compat", "") == "1") {
     options = analysis::VerifierOptions::llov_compat();
